@@ -564,34 +564,24 @@ mod tests {
 
     /// Direct (executor-free) single-thread SpMV over the blocks.
     fn spmv_single_thread_check(csc: &Csc<f64>, m: &CscvMatrix<f64>, params: CscvParams) {
+        use crate::kernels::{run_block_m, run_block_z, scatter_add};
         let x: Vec<f64> = (0..csc.n_cols()).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut y_ref = vec![0.0; csc.n_rows()];
         csc.spmv_serial(&x, &mut y_ref);
         let mut y = vec![0.0; csc.n_rows()];
         let mut ytil = vec![0.0; m.max_ytil];
+        let (isa, s) = (cscv_simd::Isa::detect(), params.s_vxg);
         for blk in &m.blocks {
             match (m.variant, params.s_vvec) {
-                (Variant::Z, 4) => {
-                    crate::kernels::run_block_z::<f64, 4>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::Z, 8) => {
-                    crate::kernels::run_block_z::<f64, 8>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::Z, 16) => {
-                    crate::kernels::run_block_z::<f64, 16>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::M, 4) => {
-                    crate::kernels::run_block_m::<f64, 4, false>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::M, 8) => {
-                    crate::kernels::run_block_m::<f64, 8, false>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::M, 16) => {
-                    crate::kernels::run_block_m::<f64, 16, false>(blk, params.s_vxg, &x, &mut ytil)
-                }
+                (Variant::Z, 4) => run_block_z::<f64, 4>(isa, blk, s, &x, &mut ytil),
+                (Variant::Z, 8) => run_block_z::<f64, 8>(isa, blk, s, &x, &mut ytil),
+                (Variant::Z, 16) => run_block_z::<f64, 16>(isa, blk, s, &x, &mut ytil),
+                (Variant::M, 4) => run_block_m::<f64, 4, false>(isa, blk, s, &x, &mut ytil),
+                (Variant::M, 8) => run_block_m::<f64, 8, false>(isa, blk, s, &x, &mut ytil),
+                (Variant::M, 16) => run_block_m::<f64, 16, false>(isa, blk, s, &x, &mut ytil),
                 _ => unreachable!(),
             }
-            crate::kernels::scatter_add(blk, &ytil, &mut y, 0);
+            scatter_add(isa, blk, &ytil, &mut y, 0);
         }
         cscv_sparse::dense::assert_vec_close(&y, &y_ref, 1e-12);
     }

@@ -21,7 +21,7 @@ use crate::kernels::{
 use crate::layout::{ImageShape, SinoLayout};
 use crate::params::CscvParams;
 use cscv_simd::expand::{select_path, ExpandPath};
-use cscv_simd::{MaskExpand, Scalar};
+use cscv_simd::{Isa, MaskExpand, Scalar, Tier};
 use cscv_sparse::numa::NumaTopology;
 use cscv_sparse::shared::{reduce_buffers_into, Scratch, SharedSliceMut};
 use cscv_sparse::{partition, Csc, SpmvExecutor, ThreadPool};
@@ -104,6 +104,8 @@ pub struct CscvExec<T: Scalar> {
     m: CscvMatrix<T>,
     strategy: ParallelStrategy,
     path: ExpandPath,
+    /// Dispatch tier of every block kernel call, detected once here.
+    isa: Isa,
     /// Per-block nnz prefix (LocalCopies balancing).
     block_prefix: Vec<usize>,
     /// Blocks grouped by image tile (transpose partitioning: one tile's
@@ -167,6 +169,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
             m,
             strategy,
             path,
+            isa: Isa::detect(),
             block_prefix,
             tile_blocks,
             tile_prefix,
@@ -255,6 +258,12 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         self.path = path;
     }
 
+    /// The SIMD code-generation tier the block kernels run under
+    /// (detected at construction; see [`cscv_simd::isa`]).
+    pub fn tier(&self) -> Tier {
+        self.isa.tier()
+    }
+
     pub fn strategy(&self) -> ParallelStrategy {
         self.strategy
     }
@@ -264,8 +273,8 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         let blk = &self.m.blocks[bi];
         trace_block_pass(&self.m, blk, 1);
         match self.m.variant {
-            Variant::Z => run_block_z::<T, W>(blk, self.m.params.s_vxg, x, ytil),
-            Variant::M => run_block_m::<T, W, HW>(blk, self.m.params.s_vxg, x, ytil),
+            Variant::Z => run_block_z::<T, W>(self.isa, blk, self.m.params.s_vxg, x, ytil),
+            Variant::M => run_block_m::<T, W, HW>(self.isa, blk, self.m.params.s_vxg, x, ytil),
         }
     }
 
@@ -342,13 +351,12 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                 for &bi in &self.tile_blocks[ti] {
                     let blk = &self.m.blocks[bi as usize];
                     trace_block_pass(&self.m, blk, 1);
-                    gather(blk, y, ytil);
+                    gather(self.isa, blk, y, ytil);
+                    let s_vxg = self.m.params.s_vxg;
                     match self.m.variant {
-                        Variant::Z => {
-                            run_block_z_t::<T, W>(blk, self.m.params.s_vxg, ytil, &mut sink)
-                        }
+                        Variant::Z => run_block_z_t::<T, W>(self.isa, blk, s_vxg, ytil, &mut sink),
                         Variant::M => {
-                            run_block_m_t::<T, W, HW>(blk, self.m.params.s_vxg, ytil, &mut sink)
+                            run_block_m_t::<T, W, HW>(self.isa, blk, s_vxg, ytil, &mut sink)
                         }
                     }
                 }
@@ -385,8 +393,16 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         pool: &ThreadPool,
     ) {
         let (n_cols, n_rows) = (self.m.n_cols, self.m.n_rows);
+        // A register tile wider than 64 lanes (K·W) spills: at W = 16 a
+        // K = 8 tile runs at a fifth of the K = 4 rate (f32 and f64), so
+        // 16-lane blocks cap the tile at 4, as the transpose always does.
+        let widths: &[usize] = if W * 8 <= 64 {
+            &[8, 4, 2, 1]
+        } else {
+            &[4, 2, 1]
+        };
         let mut done = 0usize;
-        for chunk in partition::batch_chunks(k, &[8, 4, 2, 1]) {
+        for chunk in partition::batch_chunks(k, widths) {
             let xs = &x[done * n_cols..(done + chunk) * n_cols];
             let ys = &mut y[done * n_rows..(done + chunk) * n_rows];
             match chunk {
@@ -431,17 +447,14 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                 for bi in info.block_range.clone() {
                     let blk = &self.m.blocks[bi];
                     trace_block_pass(&self.m, blk, K as u64);
+                    let s_vxg = self.m.params.s_vxg;
                     match self.m.variant {
                         Variant::Z => {
-                            run_block_z_multi::<T, W, K>(blk, self.m.params.s_vxg, x, n_cols, ytil)
+                            run_block_z_multi::<T, W, K>(self.isa, blk, s_vxg, x, n_cols, ytil)
                         }
-                        Variant::M => run_block_m_multi::<T, W, HW, K>(
-                            blk,
-                            self.m.params.s_vxg,
-                            x,
-                            n_cols,
-                            ytil,
-                        ),
+                        Variant::M => {
+                            run_block_m_multi::<T, W, HW, K>(self.isa, blk, s_vxg, x, n_cols, ytil)
+                        }
                     }
                     // Scatter the K interleaved segments straight into
                     // the K column-major copies of this group's rows.
@@ -526,19 +539,14 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                 for &bi in &self.tile_blocks[ti] {
                     let blk = &self.m.blocks[bi as usize];
                     trace_block_pass(&self.m, blk, K as u64);
-                    gather_multi::<T, W, K>(blk, y, n_rows, ytil);
+                    gather_multi::<T, W, K>(self.isa, blk, y, n_rows, ytil);
+                    let s_vxg = self.m.params.s_vxg;
                     match self.m.variant {
-                        Variant::Z => run_block_z_t_multi::<T, W, K>(
-                            blk,
-                            self.m.params.s_vxg,
-                            ytil,
-                            &mut sink,
-                        ),
+                        Variant::Z => {
+                            run_block_z_t_multi::<T, W, K>(self.isa, blk, s_vxg, ytil, &mut sink)
+                        }
                         Variant::M => run_block_m_t_multi::<T, W, HW, K>(
-                            blk,
-                            self.m.params.s_vxg,
-                            ytil,
-                            &mut sink,
+                            self.isa, blk, s_vxg, ytil, &mut sink,
                         ),
                     }
                 }
@@ -567,7 +575,8 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                         dst.fill(T::ZERO);
                         for bi in info.block_range.clone() {
                             self.run_one_block::<W, HW>(bi, x, ytil);
-                            scatter_add(&self.m.blocks[bi], ytil, dst, info.row_range.start);
+                            let start = info.row_range.start;
+                            scatter_add(self.isa, &self.m.blocks[bi], ytil, dst, start);
                         }
                     }
                 });
@@ -578,7 +587,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                     y.fill(T::ZERO);
                     for bi in 0..self.m.blocks.len() {
                         self.run_one_block::<W, HW>(bi, x, &mut ytil_bufs[0]);
-                        scatter_add(&self.m.blocks[bi], &ytil_bufs[0], y, 0);
+                        scatter_add(self.isa, &self.m.blocks[bi], &ytil_bufs[0], y, 0);
                     }
                     return;
                 }
@@ -595,7 +604,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                         let y_local = &mut unsafe { ys.slice_mut(tid..tid + 1) }[0];
                         for bi in ranges[tid].clone() {
                             self.run_one_block::<W, HW>(bi, x, ytil);
-                            scatter_add(&self.m.blocks[bi], ytil, y_local, 0);
+                            scatter_add(self.isa, &self.m.blocks[bi], ytil, y_local, 0);
                         }
                     });
                 }
@@ -908,6 +917,10 @@ mod tests {
         ));
         assert_eq!(z.name(), "CSCV-Z");
         assert_eq!(m.name(), "CSCV-M");
+        assert_eq!(m.tier(), Isa::detect().tier());
+        if m.expand_path() == ExpandPath::Hardware {
+            assert_eq!(m.tier(), Tier::Avx512, "vexpand runs only under AVX-512");
+        }
         assert_eq!(z.nnz_orig(), nnz);
         assert_eq!(z.nnz_stored(), m.nnz_stored(), "R_nnzE is format-level");
         assert!(z.r_nnze() > 0.0);

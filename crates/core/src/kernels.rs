@@ -8,9 +8,17 @@
 //!
 //! CSCV-M differs only in decompressing each lane block first (hardware
 //! `vexpand` or `soft-vexpand`, chosen once per matrix).
+//!
+//! Each public kernel is an [`isa_dispatch!`] wrapper: it takes the
+//! executor's detected [`Isa`](cscv_simd::Isa) and runs the
+//! `#[inline(always)]` `*_body` function beside it inside that tier's
+//! `#[target_feature]` shim, where the lane FMAs become packed `vfmadd`
+//! and `vexpand` inlines. Every tier returns bit-identical results
+//! (`tier_equality` tests).
 
 use crate::format::Block;
 use cscv_simd::expand::expand_soft;
+use cscv_simd::isa_dispatch;
 use cscv_simd::lanes::{fma_lanes, fma_tile, hsum, load_lanes, load_tile, store_lanes, store_tile};
 use cscv_simd::{MaskExpand, Scalar};
 
@@ -27,10 +35,20 @@ fn lane_block<T: Scalar, const W: usize>(vals: &[T], p: usize) -> &[T; W] {
     unsafe { &*(vals.as_ptr().add(p) as *const [T; W]) }
 }
 
-/// CSCV-Z block kernel: `ỹ += x ⊗ block` with padding zeros kept.
-/// `ytil` must hold at least `blk.ytil_len()` elements; it is zeroed here.
+isa_dispatch! {
+    /// CSCV-Z block kernel: `ỹ += x ⊗ block` with padding zeros kept.
+    /// `ytil` must hold at least `blk.ytil_len()` elements; it is zeroed here.
+    pub fn run_block_z<T: Scalar, const W: usize>(
+        blk: &Block<T>,
+        s_vxg: usize,
+        x: &[T],
+        ytil: &mut [T],
+    ) => run_block_z_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_z<T: Scalar, const W: usize>(
+pub(crate) fn run_block_z_body<T: Scalar, const W: usize>(
     blk: &Block<T>,
     s_vxg: usize,
     x: &[T],
@@ -86,11 +104,21 @@ fn read_mask<const W: usize>(masks: &[u8], mi: usize) -> u32 {
     }
 }
 
-/// CSCV-M block kernel: padding zeros removed; each lane block is
-/// re-inflated by mask expansion before the FMA. `HW` selects the
-/// hardware `vexpand` path (caller verified availability).
+isa_dispatch! {
+    /// CSCV-M block kernel: padding zeros removed; each lane block is
+    /// re-inflated by mask expansion before the FMA. `HW` selects the
+    /// hardware `vexpand` path (caller verified availability).
+    pub fn run_block_m<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+        blk: &Block<T>,
+        s_vxg: usize,
+        x: &[T],
+        ytil: &mut [T],
+    ) => run_block_m_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_m<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+pub(crate) fn run_block_m_body<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
     blk: &Block<T>,
     s_vxg: usize,
     x: &[T],
@@ -135,11 +163,26 @@ pub fn run_block_m<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
     debug_assert_eq!(p, vals.len());
 }
 
-/// Scatter-add a computed `ỹ` into an output slice whose index 0
-/// corresponds to global row `row_offset` (paper Alg. 3 line 11, the
-/// inverse mapping `ι_k⁻¹`).
+isa_dispatch! {
+    /// Scatter-add a computed `ỹ` into an output slice whose index 0
+    /// corresponds to global row `row_offset` (paper Alg. 3 line 11, the
+    /// inverse mapping `ι_k⁻¹`).
+    pub fn scatter_add<T: Scalar>(
+        blk: &Block<T>,
+        ytil: &[T],
+        dst: &mut [T],
+        row_offset: usize,
+    ) => scatter_add_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn scatter_add<T: Scalar>(blk: &Block<T>, ytil: &[T], dst: &mut [T], row_offset: usize) {
+pub(crate) fn scatter_add_body<T: Scalar>(
+    blk: &Block<T>,
+    ytil: &[T],
+    dst: &mut [T],
+    row_offset: usize,
+) {
     for (slot, &row) in blk.map.iter().enumerate() {
         if row >= 0 {
             let at = row as usize - row_offset;
@@ -148,22 +191,37 @@ pub fn scatter_add<T: Scalar>(blk: &Block<T>, ytil: &[T], dst: &mut [T], row_off
     }
 }
 
-/// Gather the block's `ỹ` view of a global `y` (forward mapping `ι_k`;
-/// invalid slots read as zero). The transpose kernels' prologue.
+isa_dispatch! {
+    /// Gather the block's `ỹ` view of a global `y` (forward mapping `ι_k`;
+    /// invalid slots read as zero). The transpose kernels' prologue.
+    pub fn gather<T: Scalar>(blk: &Block<T>, y: &[T], ytil: &mut [T]) => gather_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn gather<T: Scalar>(blk: &Block<T>, y: &[T], ytil: &mut [T]) {
+pub(crate) fn gather_body<T: Scalar>(blk: &Block<T>, y: &[T], ytil: &mut [T]) {
     let ytil = &mut ytil[..blk.ytil_len()];
     for (slot, &row) in blk.map.iter().enumerate() {
         ytil[slot] = if row >= 0 { y[row as usize] } else { T::ZERO };
     }
 }
 
-/// Transpose CSCV-Z block kernel: `x[cols] += blockᵀ · ỹ` (the paper's
-/// future-work `x = Aᵀy` back-projection, here implemented). `ytil` must
-/// already hold the gathered `ỹ` (see [`gather`]); per member column the
-/// kernel accumulates a `W`-lane dot product, horizontally summed once.
+isa_dispatch! {
+    /// Transpose CSCV-Z block kernel: `x[cols] += blockᵀ · ỹ` (the paper's
+    /// future-work `x = Aᵀy` back-projection, here implemented). `ytil` must
+    /// already hold the gathered `ỹ` (see [`gather`]); per member column the
+    /// kernel accumulates a `W`-lane dot product, horizontally summed once.
+    pub fn run_block_z_t<T: Scalar, const W: usize>(
+        blk: &Block<T>,
+        s_vxg: usize,
+        ytil: &[T],
+        sink: &mut impl FnMut(usize, T),
+    ) => run_block_z_t_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_z_t<T: Scalar, const W: usize>(
+pub(crate) fn run_block_z_t_body<T: Scalar, const W: usize>(
     blk: &Block<T>,
     s_vxg: usize,
     ytil: &[T],
@@ -194,9 +252,19 @@ pub fn run_block_z_t<T: Scalar, const W: usize>(
     }
 }
 
-/// Transpose CSCV-M block kernel (mask-expanded values).
+isa_dispatch! {
+    /// Transpose CSCV-M block kernel (mask-expanded values).
+    pub fn run_block_m_t<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+        blk: &Block<T>,
+        s_vxg: usize,
+        ytil: &[T],
+        sink: &mut impl FnMut(usize, T),
+    ) => run_block_m_t_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_m_t<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+pub(crate) fn run_block_m_t_body<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
     blk: &Block<T>,
     s_vxg: usize,
     ytil: &[T],
@@ -260,12 +328,23 @@ fn gather_xs<T: Scalar, const K: usize>(x: &[T], n_cols: usize, c: usize) -> [T;
     std::array::from_fn(|k| x[k * n_cols + c])
 }
 
-/// Batched CSCV-Z block kernel: `ỹ_k += x_k ⊗ block` for `K` right-hand
-/// sides in one pass over the value stream. `x` holds `K` column-major
-/// RHS vectors of length `n_cols`; `ytil` must hold at least
-/// `K · blk.ytil_len()` elements (interleaved layout) and is zeroed here.
+isa_dispatch! {
+    /// Batched CSCV-Z block kernel: `ỹ_k += x_k ⊗ block` for `K` right-hand
+    /// sides in one pass over the value stream. `x` holds `K` column-major
+    /// RHS vectors of length `n_cols`; `ytil` must hold at least
+    /// `K · blk.ytil_len()` elements (interleaved layout) and is zeroed here.
+    pub fn run_block_z_multi<T: Scalar, const W: usize, const K: usize>(
+        blk: &Block<T>,
+        s_vxg: usize,
+        x: &[T],
+        n_cols: usize,
+        ytil: &mut [T],
+    ) => run_block_z_multi_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_z_multi<T: Scalar, const W: usize, const K: usize>(
+pub(crate) fn run_block_z_multi_body<T: Scalar, const W: usize, const K: usize>(
     blk: &Block<T>,
     s_vxg: usize,
     x: &[T],
@@ -296,11 +375,32 @@ pub fn run_block_z_multi<T: Scalar, const W: usize, const K: usize>(
     }
 }
 
-/// Batched CSCV-M block kernel: each lane block is mask-expanded ONCE
-/// and folded into all `K` accumulators — the decompression cost is
-/// amortized across the batch exactly like the value-stream traffic.
+isa_dispatch! {
+    /// Batched CSCV-M block kernel: each lane block is mask-expanded ONCE
+    /// and folded into all `K` accumulators — the decompression cost is
+    /// amortized across the batch exactly like the value-stream traffic.
+    pub fn run_block_m_multi<
+        T: Scalar + MaskExpand,
+        const W: usize,
+        const HW: bool,
+        const K: usize,
+    >(
+        blk: &Block<T>,
+        s_vxg: usize,
+        x: &[T],
+        n_cols: usize,
+        ytil: &mut [T],
+    ) => run_block_m_multi_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_m_multi<T: Scalar + MaskExpand, const W: usize, const HW: bool, const K: usize>(
+pub(crate) fn run_block_m_multi_body<
+    T: Scalar + MaskExpand,
+    const W: usize,
+    const HW: bool,
+    const K: usize,
+>(
     blk: &Block<T>,
     s_vxg: usize,
     x: &[T],
@@ -346,11 +446,22 @@ pub fn run_block_m_multi<T: Scalar + MaskExpand, const W: usize, const HW: bool,
     debug_assert_eq!(p, vals.len());
 }
 
-/// Scatter-add a batched interleaved `ỹ` into `K` output segments.
-/// `dst` holds `K` column-major segments of `seg_len` rows each (RHS `k`
-/// at `dst[k·seg_len ..]`); segment index 0 is global row `row_offset`.
+isa_dispatch! {
+    /// Scatter-add a batched interleaved `ỹ` into `K` output segments.
+    /// `dst` holds `K` column-major segments of `seg_len` rows each (RHS `k`
+    /// at `dst[k·seg_len ..]`); segment index 0 is global row `row_offset`.
+    pub fn scatter_add_multi<T: Scalar, const W: usize, const K: usize>(
+        blk: &Block<T>,
+        ytil: &[T],
+        dst: &mut [T],
+        seg_len: usize,
+        row_offset: usize,
+    ) => scatter_add_multi_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn scatter_add_multi<T: Scalar, const W: usize, const K: usize>(
+pub(crate) fn scatter_add_multi_body<T: Scalar, const W: usize, const K: usize>(
     blk: &Block<T>,
     ytil: &[T],
     dst: &mut [T],
@@ -368,11 +479,21 @@ pub fn scatter_add_multi<T: Scalar, const W: usize, const K: usize>(
     }
 }
 
-/// Gather the block's batched `ỹ` view of `K` column-major `y` segments
-/// of `n_rows` each (invalid slots read as zero). Prologue of the
-/// batched transpose kernels.
+isa_dispatch! {
+    /// Gather the block's batched `ỹ` view of `K` column-major `y` segments
+    /// of `n_rows` each (invalid slots read as zero). Prologue of the
+    /// batched transpose kernels.
+    pub fn gather_multi<T: Scalar, const W: usize, const K: usize>(
+        blk: &Block<T>,
+        y: &[T],
+        n_rows: usize,
+        ytil: &mut [T],
+    ) => gather_multi_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn gather_multi<T: Scalar, const W: usize, const K: usize>(
+pub(crate) fn gather_multi_body<T: Scalar, const W: usize, const K: usize>(
     blk: &Block<T>,
     y: &[T],
     n_rows: usize,
@@ -391,12 +512,22 @@ pub fn gather_multi<T: Scalar, const W: usize, const K: usize>(
     }
 }
 
-/// Batched transpose CSCV-Z kernel: `x_k[cols] += blockᵀ · ỹ_k` for all
-/// `K` right-hand sides in one value-stream pass. `ytil` must hold the
-/// interleaved gathered batch (see [`gather_multi`]); per member column
-/// the sink receives the `K` horizontal sums at once.
+isa_dispatch! {
+    /// Batched transpose CSCV-Z kernel: `x_k[cols] += blockᵀ · ỹ_k` for all
+    /// `K` right-hand sides in one value-stream pass. `ytil` must hold the
+    /// interleaved gathered batch (see [`gather_multi`]); per member column
+    /// the sink receives the `K` horizontal sums at once.
+    pub fn run_block_z_t_multi<T: Scalar, const W: usize, const K: usize>(
+        blk: &Block<T>,
+        s_vxg: usize,
+        ytil: &[T],
+        sink: &mut impl FnMut(usize, &[T; K]),
+    ) => run_block_z_t_multi_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_z_t_multi<T: Scalar, const W: usize, const K: usize>(
+pub(crate) fn run_block_z_t_multi_body<T: Scalar, const W: usize, const K: usize>(
     blk: &Block<T>,
     s_vxg: usize,
     ytil: &[T],
@@ -430,10 +561,25 @@ pub fn run_block_z_t_multi<T: Scalar, const W: usize, const K: usize>(
     }
 }
 
-/// Batched transpose CSCV-M kernel (each mask expansion shared by all
-/// `K` right-hand sides).
+isa_dispatch! {
+    /// Batched transpose CSCV-M kernel (each mask expansion shared by all
+    /// `K` right-hand sides).
+    pub fn run_block_m_t_multi<
+        T: Scalar + MaskExpand,
+        const W: usize,
+        const HW: bool,
+        const K: usize,
+    >(
+        blk: &Block<T>,
+        s_vxg: usize,
+        ytil: &[T],
+        sink: &mut impl FnMut(usize, &[T; K]),
+    ) => run_block_m_t_multi_body;
+}
+
+#[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_m_t_multi<
+pub(crate) fn run_block_m_t_multi_body<
     T: Scalar + MaskExpand,
     const W: usize,
     const HW: bool,
@@ -487,6 +633,11 @@ pub fn run_block_m_t_multi<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cscv_simd::Isa;
+
+    fn isa() -> Isa {
+        Isa::detect()
+    }
 
     /// Hand-built miniature block: W = 4, S_VxG = 2, one VxG covering two
     /// offsets, columns 3 and 5.
@@ -519,7 +670,7 @@ mod tests {
         x[3] = 2.0;
         x[5] = 10.0;
         let mut ytil = vec![f64::NAN; 8];
-        run_block_z::<f64, 4>(&blk, 2, &x, &mut ytil);
+        run_block_z::<f64, 4>(isa(), &blk, 2, &x, &mut ytil);
         // offset 0: 2*[1,2,3,4] + 10*[5,6,7,8] = [52,64,76,88]
         assert_eq!(&ytil[..4], &[52.0, 64.0, 76.0, 88.0]);
         // offset 1: 2*[0,0,1,0] + 10*[2,0,0,0] = [20,0,2,0]
@@ -553,12 +704,12 @@ mod tests {
         x[5] = 0.25;
         let mut yz = vec![0.0; 8];
         let mut ym = vec![0.0; 8];
-        run_block_z::<f64, 4>(&z, 2, &x, &mut yz);
-        run_block_m::<f64, 4, false>(&m, 2, &x, &mut ym);
+        run_block_z::<f64, 4>(isa(), &z, 2, &x, &mut yz);
+        run_block_m::<f64, 4, false>(isa(), &m, 2, &x, &mut ym);
         assert_eq!(yz, ym);
         if <f64 as MaskExpand>::hw_available::<4>() {
             let mut yh = vec![0.0; 8];
-            run_block_m::<f64, 4, true>(&m, 2, &x, &mut yh);
+            run_block_m::<f64, 4, true>(isa(), &m, 2, &x, &mut yh);
             assert_eq!(yz, yh);
         }
     }
@@ -569,7 +720,7 @@ mod tests {
         blk.map = vec![4, -1, 5, -1, 6, -1, 7, -1];
         let ytil: Vec<f64> = (1..=8).map(|i| i as f64).collect();
         let mut dst = vec![10.0; 4]; // rows 4..8
-        scatter_add(&blk, &ytil, &mut dst, 4);
+        scatter_add(isa(), &blk, &ytil, &mut dst, 4);
         assert_eq!(dst, vec![11.0, 13.0, 15.0, 17.0]);
     }
 
@@ -582,7 +733,7 @@ mod tests {
         let y: Vec<f64> = (1..=8).map(|i| i as f64 * 0.5).collect();
         // Gather is identity here (map = 0..8).
         let mut ytil = vec![0.0; 8];
-        gather(&z, &y, &mut ytil);
+        gather(isa(), &z, &y, &mut ytil);
         assert_eq!(ytil, y);
 
         // Explicit transpose from the dense image of the block:
@@ -597,14 +748,14 @@ mod tests {
         }
 
         let mut xz = vec![0.0; 8];
-        run_block_z_t::<f64, 4>(&z, 2, &ytil, &mut |c, v| xz[c] += v);
+        run_block_z_t::<f64, 4>(isa(), &z, 2, &ytil, &mut |c, v| xz[c] += v);
         assert_eq!(xz, x_ref);
         let mut xm = vec![0.0; 8];
-        run_block_m_t::<f64, 4, false>(&m, 2, &ytil, &mut |c, v| xm[c] += v);
+        run_block_m_t::<f64, 4, false>(isa(), &m, 2, &ytil, &mut |c, v| xm[c] += v);
         assert_eq!(xm, x_ref);
         if <f64 as MaskExpand>::hw_available::<4>() {
             let mut xh = vec![0.0; 8];
-            run_block_m_t::<f64, 4, true>(&m, 2, &ytil, &mut |c, v| xh[c] += v);
+            run_block_m_t::<f64, 4, true>(isa(), &m, 2, &ytil, &mut |c, v| xh[c] += v);
             assert_eq!(xh, x_ref);
         }
     }
@@ -615,7 +766,7 @@ mod tests {
         blk.map = vec![2, -1, 0, -1, 1, -1, 3, -1];
         let y = vec![10.0, 20.0, 30.0, 40.0];
         let mut ytil = vec![f64::NAN; 8];
-        gather(&blk, &y, &mut ytil);
+        gather(isa(), &blk, &y, &mut ytil);
         assert_eq!(ytil, vec![30.0, 0.0, 10.0, 0.0, 20.0, 0.0, 40.0, 0.0]);
     }
 
@@ -651,7 +802,7 @@ mod tests {
         };
         let x = vec![2.0f64];
         let mut ytil = vec![f64::NAN; 16];
-        run_block_m::<f64, 16, false>(&blk, 1, &x, &mut ytil);
+        run_block_m::<f64, 16, false>(isa(), &blk, 1, &x, &mut ytil);
         assert_eq!(ytil[0], 6.0);
         assert_eq!(ytil[15], 14.0);
         assert_eq!(&ytil[1..15], &[0.0; 14]);
@@ -669,13 +820,19 @@ mod tests {
         let x: Vec<f64> = (0..K * n_cols).map(|i| (i as f64 * 0.7).sin()).collect();
 
         let mut ytil_multi = vec![f64::NAN; 8 * K];
-        run_block_z_multi::<f64, 4, K>(&z, 2, &x, n_cols, &mut ytil_multi);
+        run_block_z_multi::<f64, 4, K>(isa(), &z, 2, &x, n_cols, &mut ytil_multi);
         let mut ytil_m_multi = vec![f64::NAN; 8 * K];
-        run_block_m_multi::<f64, 4, false, K>(&m, 2, &x, n_cols, &mut ytil_m_multi);
+        run_block_m_multi::<f64, 4, false, K>(isa(), &m, 2, &x, n_cols, &mut ytil_m_multi);
 
         for k in 0..K {
             let mut ytil_one = vec![0.0; 8];
-            run_block_z::<f64, 4>(&z, 2, &x[k * n_cols..(k + 1) * n_cols], &mut ytil_one);
+            run_block_z::<f64, 4>(
+                isa(),
+                &z,
+                2,
+                &x[k * n_cols..(k + 1) * n_cols],
+                &mut ytil_one,
+            );
             // De-interleave: slot s of RHS k lives at (s/4)*4*K + k*4 + s%4.
             for (s, &one) in ytil_one.iter().enumerate() {
                 let at = (s / 4) * 4 * K + k * 4 + s % 4;
@@ -699,7 +856,7 @@ mod tests {
         }
         // Scatter into K segments of rows 4..8 (seg_len 4, offset 4).
         let mut dst = vec![100.0f64; 4 * K];
-        scatter_add_multi::<f64, 4, K>(&blk, &ytil, &mut dst, 4, 4);
+        scatter_add_multi::<f64, 4, K>(isa(), &blk, &ytil, &mut dst, 4, 4);
         assert_eq!(
             dst,
             vec![
@@ -713,7 +870,7 @@ mod tests {
         y[4..8].copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         y[12..16].copy_from_slice(&[5.0, 6.0, 7.0, 8.0]);
         let mut gt = vec![f64::NAN; 8 * K];
-        gather_multi::<f64, 4, K>(&blk, &y, 8, &mut gt);
+        gather_multi::<f64, 4, K>(isa(), &blk, &y, 8, &mut gt);
         for s in 0..8 {
             for k in 0..K {
                 let at = (s / 4) * 4 * K + k * 4 + s % 4;
@@ -735,16 +892,16 @@ mod tests {
         let n_rows = 8;
         let y: Vec<f64> = (0..K * n_rows).map(|i| (i as f64) * 0.5 - 3.0).collect();
         let mut ytil = vec![0.0; 8 * K];
-        gather_multi::<f64, 4, K>(&z, &y, n_rows, &mut ytil);
+        gather_multi::<f64, 4, K>(isa(), &z, &y, n_rows, &mut ytil);
 
         let mut xz = [0.0; 8 * K];
-        run_block_z_t_multi::<f64, 4, K>(&z, 2, &ytil, &mut |c, sums| {
+        run_block_z_t_multi::<f64, 4, K>(isa(), &z, 2, &ytil, &mut |c, sums| {
             for k in 0..K {
                 xz[k * 8 + c] += sums[k];
             }
         });
         let mut xm = [0.0; 8 * K];
-        run_block_m_t_multi::<f64, 4, false, K>(&m, 2, &ytil, &mut |c, sums| {
+        run_block_m_t_multi::<f64, 4, false, K>(isa(), &m, 2, &ytil, &mut |c, sums| {
             for k in 0..K {
                 xm[k * 8 + c] += sums[k];
             }
@@ -752,9 +909,9 @@ mod tests {
 
         for k in 0..K {
             let mut ytil_one = vec![0.0; 8];
-            gather(&z, &y[k * n_rows..(k + 1) * n_rows], &mut ytil_one);
+            gather(isa(), &z, &y[k * n_rows..(k + 1) * n_rows], &mut ytil_one);
             let mut x_one = vec![0.0; 8];
-            run_block_z_t::<f64, 4>(&z, 2, &ytil_one, &mut |c, v| x_one[c] += v);
+            run_block_z_t::<f64, 4>(isa(), &z, 2, &ytil_one, &mut |c, v| x_one[c] += v);
             assert_eq!(&xz[k * 8..(k + 1) * 8], x_one.as_slice(), "Z rhs {k}");
             assert_eq!(&xm[k * 8..(k + 1) * 8], x_one.as_slice(), "M rhs {k}");
         }

@@ -36,6 +36,7 @@ pub mod layout;
 pub mod layout_eff;
 pub mod params;
 pub mod placement;
+mod tier_equality;
 
 pub use builder::{
     build, build_with_curves, try_build, try_build_with_curves, BuildError, CurveProvider,

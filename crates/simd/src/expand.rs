@@ -17,6 +17,7 @@
 //! tested as inverses.
 
 use crate::detect::cpu_features;
+use crate::isa::{Isa, Tier};
 use crate::scalar::Scalar;
 
 /// Which expansion implementation a kernel was compiled/selected with.
@@ -90,9 +91,12 @@ pub trait MaskExpand: Scalar {
     unsafe fn expand_hw<const W: usize>(mask: u32, src: *const Self) -> [Self; W];
 }
 
-/// Pick the expansion path for `(T, W)` on this machine.
+/// Pick the expansion path for `(T, W)` on this machine. The hardware
+/// path runs only under the [`Tier::Avx512`] dispatch tier, where the
+/// `vexpand` wrappers inline into the kernel shims.
 pub fn select_path<T: MaskExpand, const W: usize>() -> ExpandPath {
-    let path = if T::hw_available::<W>() {
+    let tier = Isa::detect().tier();
+    let path = if tier == Tier::Avx512 && T::hw_available::<W>() {
         ExpandPath::Hardware
     } else {
         ExpandPath::Software
@@ -103,6 +107,7 @@ pub fn select_path<T: MaskExpand, const W: usize>() -> ExpandPath {
             &[
                 ("lanes", W as f64),
                 ("hardware", (path == ExpandPath::Hardware) as u8 as f64),
+                ("tier", tier as u8 as f64),
             ],
         );
     }
@@ -137,6 +142,7 @@ mod x86 {
     /// # Safety
     /// Requires `avx512f` and `mask.count_ones()`
     /// readable elements at `src`.
+    #[inline]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn expand_f32x16(mask: u16, src: *const f32) -> [f32; 16] {
         let v = _mm512_maskz_expandloadu_ps(mask, src as *const _);
@@ -146,6 +152,7 @@ mod x86 {
     /// # Safety
     /// Requires `avx512f` + `avx512vl` and `mask.count_ones()`
     /// readable elements at `src`.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn expand_f32x8(mask: u8, src: *const f32) -> [f32; 8] {
         let v = _mm256_maskz_expandloadu_ps(mask, src as *const _);
@@ -155,6 +162,7 @@ mod x86 {
     /// # Safety
     /// Requires `avx512f` + `avx512vl` and `mask.count_ones()`
     /// readable elements at `src`.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn expand_f32x4(mask: u8, src: *const f32) -> [f32; 4] {
         let v = _mm_maskz_expandloadu_ps(mask, src as *const _);
@@ -164,6 +172,7 @@ mod x86 {
     /// # Safety
     /// Requires `avx512f` and `mask.count_ones()`
     /// readable elements at `src`.
+    #[inline]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn expand_f64x8(mask: u8, src: *const f64) -> [f64; 8] {
         let v = _mm512_maskz_expandloadu_pd(mask, src as *const _);
@@ -173,6 +182,7 @@ mod x86 {
     /// # Safety
     /// Requires `avx512f` + `avx512vl` and `mask.count_ones()`
     /// readable elements at `src`.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn expand_f64x4(mask: u8, src: *const f64) -> [f64; 4] {
         let v = _mm256_maskz_expandloadu_pd(mask, src as *const _);
@@ -182,6 +192,7 @@ mod x86 {
     /// # Safety
     /// Requires `avx512f` + `avx512vl` and `mask.count_ones()`
     /// readable elements at `src`.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512vl")]
     pub unsafe fn expand_f64x2(mask: u8, src: *const f64) -> [f64; 2] {
         let v = _mm_maskz_expandloadu_pd(mask, src as *const _);
@@ -332,7 +343,7 @@ mod tests {
     #[test]
     fn select_path_consistent_with_detection() {
         let p = select_path::<f32, 16>();
-        if cpu_features().avx512f {
+        if Isa::detect().tier() == Tier::Avx512 {
             assert_eq!(p, ExpandPath::Hardware);
         } else {
             assert_eq!(p, ExpandPath::Software);

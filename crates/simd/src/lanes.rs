@@ -1,12 +1,15 @@
 //! Portable lane-array micro-kernels.
 //!
 //! Every kernel here is written as a fixed-trip-count loop over `[T; W]`
-//! arrays (or exact chunks of slices) with FMA bodies. Compiled with
-//! `-C target-cpu=native` LLVM lowers them to packed `vfmadd` instructions
-//! of the widest available vector unit — this is the "compiler-assisted
-//! vectorization" the paper relies on for performance portability, and the
-//! reason the suite contains no per-ISA kernel copies.
+//! arrays (or exact chunks of slices) with FMA bodies. Inlined into an
+//! [`isa_dispatch!`](crate::isa_dispatch) shim, LLVM lowers them to packed
+//! `vfmadd` instructions of the widest vector unit the running CPU has
+//! (chosen at run time, see [`crate::isa`]) — this is the
+//! "compiler-assisted vectorization" the paper relies on for performance
+//! portability, and the reason the suite contains no per-ISA kernel
+//! copies. The slice-wide solver operations below dispatch themselves.
 
+use crate::isa::Isa;
 use crate::scalar::Scalar;
 
 /// `acc[l] = vals[l] * x + acc[l]` for each lane.
@@ -102,10 +105,22 @@ pub fn hsum<T: Scalar, const W: usize>(v: &[T; W]) -> T {
     buf[0]
 }
 
+crate::isa_dispatch! {
+    pub(crate) fn axpy_on<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) => axpy_body;
+    pub(crate) fn dot_on<T: Scalar>(x: &[T], y: &[T]) -> T => dot_body;
+    pub(crate) fn add_assign_slice_on<T: Scalar>(y: &mut [T], x: &[T]) => add_assign_slice_body;
+    pub(crate) fn scale_on<T: Scalar>(x: &mut [T], alpha: T) => scale_body;
+}
+
 /// `y += alpha * x` over whole slices (8-lane unrolled body + scalar tail).
 #[inline]
-// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
 pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
+    axpy_on(Isa::detect(), alpha, x, y)
+}
+
+#[inline(always)]
+// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
+pub(crate) fn axpy_body<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), y.len());
     let mut xc = x.chunks_exact(8);
     let mut yc = y.chunks_exact_mut(8);
@@ -122,8 +137,13 @@ pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
 /// Dot product with 4 independent accumulators for instruction-level
 /// parallelism (FMA latency hiding).
 #[inline]
-// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
+    dot_on(Isa::detect(), x, y)
+}
+
+#[inline(always)]
+// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
+pub(crate) fn dot_body<T: Scalar>(x: &[T], y: &[T]) -> T {
     assert_eq!(x.len(), y.len());
     let mut acc = [T::ZERO; 4];
     let mut xc = x.chunks_exact(4);
@@ -149,6 +169,11 @@ pub fn norm2_sq<T: Scalar>(x: &[T]) -> T {
 /// `y += x` elementwise — the per-thread `y`-copy reduction primitive.
 #[inline]
 pub fn add_assign_slice<T: Scalar>(y: &mut [T], x: &[T]) {
+    add_assign_slice_on(Isa::detect(), y, x)
+}
+
+#[inline(always)]
+pub(crate) fn add_assign_slice_body<T: Scalar>(y: &mut [T], x: &[T]) {
     assert_eq!(x.len(), y.len());
     for (ys, xs) in y.iter_mut().zip(x) {
         *ys += *xs;
@@ -158,6 +183,11 @@ pub fn add_assign_slice<T: Scalar>(y: &mut [T], x: &[T]) {
 /// `x *= alpha` elementwise.
 #[inline]
 pub fn scale<T: Scalar>(x: &mut [T], alpha: T) {
+    scale_on(Isa::detect(), x, alpha)
+}
+
+#[inline(always)]
+pub(crate) fn scale_body<T: Scalar>(x: &mut [T], alpha: T) {
     for v in x.iter_mut() {
         *v *= alpha;
     }

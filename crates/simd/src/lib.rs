@@ -13,16 +13,21 @@
 //! * [`expand`] — mask expansion: `soft-vexpand` (portable) and the
 //!   hardware `vexpandps/vexpandpd` paths (x86-64, runtime detected).
 //! * [`detect`] — cached CPU feature detection.
+//! * [`isa`] — the runtime tier choice and the [`isa_dispatch!`] macro
+//!   that compiles each kernel body once per tier (`#[target_feature]`
+//!   shims), so default builds still get packed `vfmadd`.
 //! * [`rng`] — the in-tree xorshift PRNG used by tests, noise models and
 //!   benchmark input generation (keeps the workspace dependency-free).
 
 pub mod detect;
 pub mod expand;
+pub mod isa;
 pub mod lanes;
 pub mod rng;
 pub mod scalar;
 
 pub use detect::{cpu_features, CpuFeatures};
 pub use expand::{ExpandPath, MaskExpand};
+pub use isa::{Isa, Tier};
 pub use scalar::Scalar;
 mod randomized;

@@ -5,9 +5,10 @@
 #![cfg(test)]
 
 use crate::expand::{compress_into, expand_soft, expand_with, select_path, ExpandPath};
-use crate::lanes::{axpy, dot, hsum};
+use crate::isa::Isa;
+use crate::lanes::*;
 use crate::rng::XorShift64;
-use crate::MaskExpand;
+use crate::{MaskExpand, Scalar};
 
 #[test]
 fn hsum_matches_sum_f64() {
@@ -89,4 +90,48 @@ fn hw_and_soft_expand_agree_random_masks() {
             assert_eq!(select_path::<f32, 16>(), ExpandPath::Software);
         }
     }
+}
+
+fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+    v.iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+/// The dispatched solver vector ops reproduce their portable bodies bit
+/// for bit, tails included (`fmaf` and `vfmadd` both round once).
+fn solver_ops_agree<T: Scalar>(seed: u64) {
+    let isa = Isa::detect();
+    let mut rng = XorShift64::new(seed);
+    for len in 0..70 {
+        let mut vec = || -> Vec<T> {
+            (0..len)
+                .map(|_| T::from_f64(rng.range_f64(-50.0, 50.0)))
+                .collect()
+        };
+        let (x, y) = (vec(), vec());
+        let alpha = T::from_f64(1.0 / 3.0);
+
+        let (mut got, mut want) = (y.clone(), y.clone());
+        axpy_on(isa, alpha, &x, &mut got);
+        axpy_body(alpha, &x, &mut want);
+        assert_eq!(bits(&got), bits(&want), "axpy len {len}");
+
+        let (d_got, d_want) = (dot_on(isa, &x, &y), dot_body(&x, &y));
+        assert_eq!(bits(&[d_got]), bits(&[d_want]), "dot len {len}");
+
+        let (mut got, mut want) = (y.clone(), y.clone());
+        add_assign_slice_on(isa, &mut got, &x);
+        add_assign_slice_body(&mut want, &x);
+        assert_eq!(bits(&got), bits(&want), "add_assign_slice len {len}");
+
+        let (mut got, mut want) = (x.clone(), x);
+        scale_on(isa, &mut got, alpha);
+        scale_body(&mut want, alpha);
+        assert_eq!(bits(&got), bits(&want), "scale len {len}");
+    }
+}
+
+#[test]
+fn solver_ops_bit_identical_across_tiers() {
+    solver_ops_agree::<f32>(1010);
+    solver_ops_agree::<f64>(1011);
 }

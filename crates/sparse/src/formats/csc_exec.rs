@@ -3,14 +3,17 @@
 //! Column-major SpMV scatters into `y`, so the parallel version follows
 //! the standard recipe (and the paper's own multithreading design):
 //! nnz-balanced column ranges per thread, each thread accumulating into a
-//! private copy of `y`, then a parallel reduction over row ranges.
+//! private copy of `y`, then a parallel reduction over row ranges. The
+//! column loops run under the runtime-dispatched `#[target_feature]`
+//! shims of [`cscv_simd::isa`], as a vendor build for the host would.
 
 use crate::csc::Csc;
 use crate::executor::SpmvExecutor;
 use crate::formats::util::{reduce_buffers_into, Scratch};
 use crate::partition::{batch_chunks, split_by_prefix};
 use crate::pool::ThreadPool;
-use cscv_simd::Scalar;
+use cscv_simd::{isa_dispatch, Isa, Scalar};
+use std::ops::Range;
 
 /// Plain serial CSC SpMV (paper Algorithm 1).
 pub struct CscSerialExec<T> {
@@ -48,6 +51,59 @@ impl<T: Scalar> SpmvExecutor<T> for CscSerialExec<T> {
 pub struct CscParallelExec<T> {
     csc: Csc<T>,
     scratch: Scratch<T>,
+    /// Dispatch tier of the column loops, detected once here.
+    isa: Isa,
+}
+
+isa_dispatch! {
+    /// `buf += A[:, cols] · x[cols]`, skipping zero `x` entries.
+    fn scatter_cols<T: Scalar>(csc: &Csc<T>, cols: Range<usize>, x: &[T], buf: &mut [T])
+        => scatter_cols_body;
+    /// [`scatter_cols`] for `K` column-major RHS vectors: `x` and `buf`
+    /// hold `K` segments of `n_cols` and `n_rows` elements.
+    fn scatter_cols_multi<T: Scalar, const K: usize>(
+        csc: &Csc<T>,
+        cols: Range<usize>,
+        x: &[T],
+        buf: &mut [T],
+    ) => scatter_cols_multi_body;
+}
+
+#[inline(always)]
+fn scatter_cols_body<T: Scalar>(csc: &Csc<T>, cols: Range<usize>, x: &[T], buf: &mut [T]) {
+    for c in cols {
+        let (rows, vals) = csc.col(c);
+        let xc = x[c];
+        if xc == T::ZERO {
+            continue;
+        }
+        for (r, v) in rows.iter().zip(vals) {
+            buf[*r as usize] = v.mul_add(xc, buf[*r as usize]);
+        }
+    }
+}
+
+#[inline(always)]
+fn scatter_cols_multi_body<T: Scalar, const K: usize>(
+    csc: &Csc<T>,
+    cols: Range<usize>,
+    x: &[T],
+    buf: &mut [T],
+) {
+    let (n_rows, n_cols) = (csc.n_rows(), csc.n_cols());
+    for c in cols {
+        let (rows, vals) = csc.col(c);
+        let xc: [T; K] = std::array::from_fn(|k| x[k * n_cols + c]);
+        if xc.iter().all(|&v| v == T::ZERO) {
+            continue;
+        }
+        for (r, v) in rows.iter().zip(vals) {
+            let ri = *r as usize;
+            for k in 0..K {
+                buf[k * n_rows + ri] = v.mul_add(xc[k], buf[k * n_rows + ri]);
+            }
+        }
+    }
 }
 
 impl<T: Scalar> CscParallelExec<T> {
@@ -55,6 +111,7 @@ impl<T: Scalar> CscParallelExec<T> {
         CscParallelExec {
             csc,
             scratch: Scratch::new(),
+            isa: Isa::detect(),
         }
     }
 
@@ -63,21 +120,11 @@ impl<T: Scalar> CscParallelExec<T> {
     /// `y`-copy segments, which the standard parallel reduction then
     /// folds (the whole `K·n_rows` buffer reduces as one flat vector).
     fn spmm_chunk<const K: usize>(&self, x: &[T], y: &mut [T], pool: &ThreadPool) {
-        let (n_rows, n_cols) = (self.csc.n_rows(), self.csc.n_cols());
         let n = pool.n_threads();
         let csc = &self.csc;
         if n == 1 {
             y.fill(T::ZERO);
-            for c in 0..n_cols {
-                let (rows, vals) = csc.col(c);
-                let xc: [T; K] = std::array::from_fn(|k| x[k * n_cols + c]);
-                for (r, v) in rows.iter().zip(vals) {
-                    let ri = *r as usize;
-                    for k in 0..K {
-                        y[k * n_rows + ri] = v.mul_add(xc[k], y[k * n_rows + ri]);
-                    }
-                }
-            }
+            scatter_cols_multi::<T, K>(self.isa, csc, 0..csc.n_cols(), x, y);
             return;
         }
         let ranges = split_by_prefix(self.csc.col_ptr(), n);
@@ -88,19 +135,7 @@ impl<T: Scalar> CscParallelExec<T> {
             pool.run(|tid| {
                 // SAFETY: each thread touches only element `tid`.
                 let buf = &mut unsafe { bufs_ptr.slice_mut(tid..tid + 1) }[0];
-                for c in ranges[tid].clone() {
-                    let (rows, vals) = csc.col(c);
-                    let xc: [T; K] = std::array::from_fn(|k| x[k * n_cols + c]);
-                    if xc.iter().all(|&v| v == T::ZERO) {
-                        continue;
-                    }
-                    for (r, v) in rows.iter().zip(vals) {
-                        let ri = *r as usize;
-                        for k in 0..K {
-                            buf[k * n_rows + ri] = v.mul_add(xc[k], buf[k * n_rows + ri]);
-                        }
-                    }
-                }
+                scatter_cols_multi::<T, K>(self.isa, csc, ranges[tid].clone(), x, buf);
             });
         }
         reduce_buffers_into(pool, &bufs[..n], y);
@@ -129,7 +164,8 @@ impl<T: Scalar> SpmvExecutor<T> for CscParallelExec<T> {
         assert_eq!(y.len(), self.csc.n_rows());
         let n = pool.n_threads();
         if n == 1 {
-            self.csc.spmv_serial(x, y);
+            y.fill(T::ZERO);
+            scatter_cols(self.isa, &self.csc, 0..self.csc.n_cols(), x, y);
             return;
         }
         let ranges = split_by_prefix(self.csc.col_ptr(), n);
@@ -142,16 +178,7 @@ impl<T: Scalar> SpmvExecutor<T> for CscParallelExec<T> {
             pool.run(|tid| {
                 // SAFETY: each thread touches only element `tid`.
                 let buf = &mut unsafe { bufs_ptr.slice_mut(tid..tid + 1) }[0];
-                for c in ranges[tid].clone() {
-                    let (rows, vals) = csc.col(c);
-                    let xc = x[c];
-                    if xc == T::ZERO {
-                        continue;
-                    }
-                    for (r, v) in rows.iter().zip(vals) {
-                        buf[*r as usize] = v.mul_add(xc, buf[*r as usize]);
-                    }
-                }
+                scatter_cols(self.isa, csc, ranges[tid].clone(), x, buf);
             });
         }
         reduce_buffers_into(pool, &bufs[..n], y);
@@ -251,6 +278,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// The dispatched column loops reproduce their portable bodies bit
+    /// for bit (`fmaf` and `vfmadd` both round once).
+    fn column_loops_agree<T: Scalar>() {
+        let (csc64, _, _) = sample(97);
+        let mut coo: Coo<T> = Coo::new(97, 97);
+        for c in 0..97 {
+            let (rows, vals) = csc64.col(c);
+            for (r, v) in rows.iter().zip(vals) {
+                coo.push(*r as usize, c, T::from_f64(*v * 1.37));
+            }
+        }
+        let csc = coo.to_csc();
+        // Every seventh entry is an exact zero, exercising the skip.
+        let x: Vec<T> = (0..8 * 97)
+            .map(|i| {
+                T::from_f64(if i % 7 == 0 {
+                    0.0
+                } else {
+                    (i as f64 * 0.29).cos()
+                })
+            })
+            .collect();
+        let y0: Vec<T> = (0..8 * 97)
+            .map(|i| T::from_f64((i as f64 * 0.11).sin()))
+            .collect();
+        let isa = Isa::detect();
+        let (mut got, mut want) = (y0[..97].to_vec(), y0[..97].to_vec());
+        scatter_cols(isa, &csc, 0..97, &x, &mut got);
+        scatter_cols_body(&csc, 0..97, &x, &mut want);
+        assert_eq!(bits(&got), bits(&want));
+        fn multi<T: Scalar, const K: usize>(csc: &Csc<T>, x: &[T], y0: &[T]) {
+            let len = K * csc.n_rows();
+            let (mut got, mut want) = (y0[..len].to_vec(), y0[..len].to_vec());
+            scatter_cols_multi::<T, K>(Isa::detect(), csc, 0..csc.n_cols(), x, &mut got);
+            scatter_cols_multi_body::<T, K>(csc, 0..csc.n_cols(), x, &mut want);
+            assert_eq!(bits(&got), bits(&want), "K={K}");
+        }
+        multi::<T, 1>(&csc, &x, &y0);
+        multi::<T, 2>(&csc, &x, &y0);
+        multi::<T, 4>(&csc, &x, &y0);
+        multi::<T, 8>(&csc, &x, &y0);
+    }
+
+    #[test]
+    fn column_loops_bit_identical_across_tiers() {
+        column_loops_agree::<f32>();
+        column_loops_agree::<f64>();
     }
 
     #[test]

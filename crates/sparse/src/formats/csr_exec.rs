@@ -5,13 +5,17 @@
 //! chain does not serialize. We reproduce both: [`CsrSerialExec`] is the
 //! plain textbook loop (baseline of baselines), [`CsrExec`] the tuned
 //! parallel version used as the "MKL-CSR" stand-in of the experiments.
+//! Vendor kernels are also compiled for the running CPU's vector unit, so
+//! [`CsrExec`]'s row loops run under the same runtime-dispatched
+//! `#[target_feature]` shims as the CSCV kernels ([`cscv_simd::isa`]).
 
 use crate::csr::Csr;
 use crate::executor::SpmvExecutor;
 use crate::formats::util::SharedSliceMut;
 use crate::partition::{batch_chunks, split_by_prefix};
 use crate::pool::ThreadPool;
-use cscv_simd::Scalar;
+use cscv_simd::{isa_dispatch, Isa, Scalar};
+use std::ops::Range;
 
 /// Plain serial CSR SpMV.
 pub struct CsrSerialExec<T> {
@@ -49,11 +53,51 @@ impl<T: Scalar> SpmvExecutor<T> for CsrSerialExec<T> {
 /// 4-way unrolled gather-dot row kernel.
 pub struct CsrExec<T> {
     csr: Csr<T>,
+    /// Dispatch tier of the row loops, detected once here.
+    isa: Isa,
+}
+
+isa_dispatch! {
+    /// `dst[i] = row(rows.start + i) · x` for every row of `rows`.
+    fn spmv_rows<T: Scalar>(csr: &Csr<T>, rows: Range<usize>, x: &[T], dst: &mut [T])
+        => spmv_rows_body;
+    /// Each row of `rows` against `K` column-major RHS vectors; `sink`
+    /// receives the row index and its `K` results.
+    fn spmm_rows<T: Scalar, const K: usize>(
+        csr: &Csr<T>,
+        rows: Range<usize>,
+        x: &[T],
+        sink: &mut impl FnMut(usize, [T; K]),
+    ) => spmm_rows_body;
+}
+
+#[inline(always)]
+fn spmv_rows_body<T: Scalar>(csr: &Csr<T>, rows: Range<usize>, x: &[T], dst: &mut [T]) {
+    for (slot, r) in dst.iter_mut().zip(rows) {
+        let (cols, vals) = csr.row(r);
+        *slot = CsrExec::row_dot(cols, vals, x);
+    }
+}
+
+#[inline(always)]
+fn spmm_rows_body<T: Scalar, const K: usize>(
+    csr: &Csr<T>,
+    rows: Range<usize>,
+    x: &[T],
+    sink: &mut impl FnMut(usize, [T; K]),
+) {
+    for r in rows {
+        let (cols, vals) = csr.row(r);
+        sink(r, CsrExec::row_dot_multi::<K>(cols, vals, x, csr.n_cols()));
+    }
 }
 
 impl<T: Scalar> CsrExec<T> {
     pub fn new(csr: Csr<T>) -> Self {
-        CsrExec { csr }
+        CsrExec {
+            csr,
+            isa: Isa::detect(),
+        }
     }
 
     /// One row as an ILP-friendly dot product.
@@ -92,20 +136,18 @@ impl<T: Scalar> CsrExec<T> {
     /// One compiled-width chunk of the batched product (row-parallel,
     /// row ranges disjoint per thread for every RHS copy).
     fn spmm_chunk<const K: usize>(&self, x: &[T], y: &mut [T], pool: &ThreadPool) {
-        let (n_rows, n_cols) = (self.csr.n_rows(), self.csr.n_cols());
+        let n_rows = self.csr.n_rows();
         let ranges = split_by_prefix(self.csr.row_ptr(), pool.n_threads());
         let out = SharedSliceMut::new(y);
-        let csr = &self.csr;
         pool.run(|tid| {
-            for r in ranges[tid].clone() {
-                let (cols, vals) = csr.row(r);
-                let acc = Self::row_dot_multi::<K>(cols, vals, x, n_cols);
+            let mut sink = |r: usize, acc: [T; K]| {
                 for (k, &v) in acc.iter().enumerate() {
                     // SAFETY: row ranges are disjoint across threads, so
                     // each RHS's copy of row `r` is written by one thread.
                     unsafe { *out.get_raw(k * n_rows + r) = v };
                 }
-            }
+            };
+            spmm_rows(self.isa, &self.csr, ranges[tid].clone(), x, &mut sink);
         });
     }
 }
@@ -132,17 +174,13 @@ impl<T: Scalar> SpmvExecutor<T> for CsrExec<T> {
         assert_eq!(y.len(), self.csr.n_rows());
         let ranges = split_by_prefix(self.csr.row_ptr(), pool.n_threads());
         let out = SharedSliceMut::new(y);
-        let csr = &self.csr;
         pool.run(|tid| {
             // AUDIT(index-ok): ranges has one entry per pool thread and
             // tid < n_threads by the dispatch contract.
             let range = ranges[tid].clone();
             // SAFETY: row ranges are disjoint across threads.
             let dst = unsafe { out.slice_mut(range.clone()) };
-            for (slot, r) in dst.iter_mut().zip(range) {
-                let (cols, vals) = csr.row(r);
-                *slot = Self::row_dot(cols, vals, x);
-            }
+            spmv_rows(self.isa, &self.csr, range, x, dst);
         });
     }
 
@@ -260,6 +298,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    fn spmm_rows_agree<T: Scalar, const K: usize>(csr: &Csr<T>, x: &[T]) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let rows = 0..csr.n_rows();
+        spmm_rows::<T, K>(Isa::detect(), csr, rows.clone(), x, &mut |r, acc| {
+            got.push((r, bits(&acc)))
+        });
+        spmm_rows_body::<T, K>(csr, rows, x, &mut |r, acc| want.push((r, bits(&acc))));
+        assert_eq!(got, want, "K={K}");
+    }
+
+    /// The dispatched row loops reproduce their portable bodies bit for
+    /// bit (`fmaf` and `vfmadd` both round once).
+    fn row_loops_agree<T: Scalar>() {
+        let csr64 = random_matrix(101, 77, 9, 11);
+        let mut coo: Coo<T> = Coo::new(101, 77);
+        for r in 0..101 {
+            let (cols, vals) = csr64.row(r);
+            for (c, v) in cols.iter().zip(vals) {
+                coo.push(r, *c as usize, T::from_f64(*v));
+            }
+        }
+        let csr = coo.to_csr();
+        let x: Vec<T> = (0..8 * 77)
+            .map(|i| T::from_f64((i as f64 * 0.37).sin()))
+            .collect();
+        let (mut got, mut want) = (vec![T::ZERO; 101], vec![T::ZERO; 101]);
+        spmv_rows(Isa::detect(), &csr, 0..101, &x, &mut got);
+        spmv_rows_body(&csr, 0..101, &x, &mut want);
+        assert_eq!(bits(&got), bits(&want));
+        spmm_rows_agree::<T, 1>(&csr, &x);
+        spmm_rows_agree::<T, 2>(&csr, &x);
+        spmm_rows_agree::<T, 4>(&csr, &x);
+        spmm_rows_agree::<T, 8>(&csr, &x);
+    }
+
+    #[test]
+    fn row_loops_bit_identical_across_tiers() {
+        row_loops_agree::<f32>();
+        row_loops_agree::<f64>();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   (or a `# Safety` doc section), or carry one on the same line.
 //! * [`RULE_UNSAFE_WHITELIST`] — `unsafe` may appear only in the audited
 //!   modules: `shared.rs`, `pool.rs`, `exec.rs`, `kernels.rs`,
-//!   `expand.rs`, and `formats/*`. Everything else must go through the
+//!   `expand.rs`, `isa.rs`, and `formats/*`. Everything else must go through the
 //!   safe wrappers those modules export.
 //! * [`RULE_HOT_PATH_PANIC`] — kernel hot paths (`kernels.rs`,
 //!   `lanes.rs`, `expand.rs`) must not contain `.unwrap()`, `.expect(…)`,
@@ -32,8 +32,15 @@ pub const RULE_TRACE_FALLBACK: &str = "trace-cfg-missing-fallback";
 /// Files allowed to contain `unsafe` (by basename), plus anything under
 /// a `formats/` directory. Keep this list short: each entry is a module
 /// someone has audited end to end.
-const UNSAFE_WHITELIST: &[&str] =
-    ["shared.rs", "pool.rs", "exec.rs", "kernels.rs", "expand.rs"].as_slice();
+const UNSAFE_WHITELIST: &[&str] = [
+    "shared.rs",
+    "pool.rs",
+    "exec.rs",
+    "kernels.rs",
+    "expand.rs",
+    "isa.rs",
+]
+.as_slice();
 
 /// Kernel hot-path modules where panicking constructs are banned.
 const HOT_PATH_FILES: &[&str] = ["kernels.rs", "lanes.rs", "expand.rs"].as_slice();
@@ -378,6 +385,17 @@ mod tests {
     fn doc_safety_section_accepted() {
         let src = "/// Does things.\n///\n/// # Safety\n/// Caller must uphold X.\npub unsafe fn f() {}\n";
         assert!(diag_rules("crates/simd/src/expand.rs", src).is_empty());
+    }
+
+    #[test]
+    fn isa_dispatch_shims_are_whitelisted() {
+        let src = "/// # Safety\n/// The CPU must support fma.\n#[target_feature(enable = \"fma\")]\nunsafe fn f() {}\n";
+        assert!(diag_rules("crates/simd/src/isa.rs", src).is_empty());
+        let bare = "#[target_feature(enable = \"fma\")]\nunsafe fn f() {}\n";
+        assert_eq!(
+            diag_rules("crates/simd/src/isa.rs", bare),
+            vec![RULE_SAFETY_COMMENT]
+        );
     }
 
     #[test]

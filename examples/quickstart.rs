@@ -38,9 +38,10 @@ fn main() {
     let z = CscvExec::new(build(&a, layout, img, CscvParams::default_z(), Variant::Z));
     let m = CscvExec::new(build(&a, layout, img, CscvParams::default_m(), Variant::M));
     println!(
-        "CSCV-Z: R_nnzE {:.3}; CSCV-M expand path: {}",
+        "CSCV-Z: R_nnzE {:.3}; CSCV-M expand path: {}; kernel tier: {}",
         z.matrix().stats.r_nnze(),
-        m.expand_path()
+        m.expand_path(),
+        m.tier()
     );
 
     // 4. Forward-project the Shepp-Logan phantom with each executor.
