@@ -6,7 +6,8 @@
 # toolchain is all CI needs.
 #
 #   ci.sh                        core gate (fmt, clippy, xtask lint + audit,
-#                                  fuzz corpus replay, build, docs, tests)
+#                                  fuzz corpus replay, build, docs, tests,
+#                                  benchmark crate tests)
 #   ci.sh --perf-smoke           + run the smoke benches and fail on >25%
 #                                  GFLOP/s regressions vs the checked-in
 #                                  bench_results/smoke/baseline.json
@@ -92,6 +93,13 @@ cargo test -q --workspace
 
 step "cargo test -q --features trace"
 cargo test -q --workspace --features trace
+
+# The benchmark is its own Cargo workspace, so the workspace test steps
+# above never reach its tests, which guard the result schema and the
+# output checks the benchmark's comparisons rely on.
+step "benchmark crate tests (untraced and --features trace)"
+cargo test --release --manifest-path benchmark/Cargo.toml
+cargo test --release --manifest-path benchmark/Cargo.toml --features trace
 
 if [ "$MIRI" = 1 ]; then
     # Lib tests of the unsafe-heavy crates only: integration suites mix in

@@ -67,8 +67,9 @@ pub enum BuildError {
         got: usize,
         expected: usize,
     },
-    /// `params.s_vxg` exceeds the kernels' compiled accumulator bound.
-    VxgAboveKernelBound { s_vxg: usize, max: usize },
+    /// `params.s_vxg` is not one of the compiled kernel shapes
+    /// ([`VXG_SIZES`](crate::params::VXG_SIZES)).
+    UnsupportedVxg { s_vxg: usize },
 }
 
 impl std::fmt::Display for BuildError {
@@ -89,9 +90,11 @@ impl std::fmt::Display for BuildError {
                 got,
                 expected,
             } => write!(f, "shape mismatch: {what} is {got}, expected {expected}"),
-            BuildError::VxgAboveKernelBound { s_vxg, max } => {
-                write!(f, "S_VxG = {s_vxg} above the kernel bound {max}")
-            }
+            BuildError::UnsupportedVxg { s_vxg } => write!(
+                f,
+                "S_VxG = {s_vxg} has no compiled kernel (supported: {:?})",
+                crate::params::VXG_SIZES
+            ),
         }
     }
 }
@@ -103,7 +106,8 @@ impl std::error::Error for BuildError {}
 ///
 /// # Panics
 /// If the CSC shape disagrees with `layout`/`img`, a dimension exceeds
-/// the compressed index range, or `s_vxg > 32`. Use [`try_build`] for a
+/// the compressed index range, or `s_vxg` is not in
+/// [`VXG_SIZES`](crate::params::VXG_SIZES). Use [`try_build`] for a
 /// typed error instead.
 pub fn build<T: Scalar>(
     csc: &Csc<T>,
@@ -132,7 +136,8 @@ pub fn build_with_curves<T: Scalar>(
 }
 
 /// Fallible [`build`]: returns a [`BuildError`] instead of panicking on
-/// rejected inputs (oversized dimensions, shape mismatch, S_VxG bound).
+/// rejected inputs (oversized dimensions, shape mismatch, unsupported
+/// S_VxG).
 pub fn try_build<T: Scalar>(
     csc: &Csc<T>,
     layout: SinoLayout,
@@ -186,10 +191,9 @@ pub fn try_build_with_curves<T: Scalar>(
             expected: img.n_pixels(),
         });
     }
-    if params.s_vxg > crate::kernels::MAX_VXG {
-        return Err(BuildError::VxgAboveKernelBound {
+    if !crate::params::VXG_SIZES.contains(&params.s_vxg) {
+        return Err(BuildError::UnsupportedVxg {
             s_vxg: params.s_vxg,
-            max: crate::kernels::MAX_VXG,
         });
     }
 
@@ -544,7 +548,7 @@ mod tests {
             CscvParams::new(2, 4, 1),
             CscvParams::new(3, 4, 2),
             CscvParams::new(6, 8, 4),
-            CscvParams::new(16, 16, 3),
+            CscvParams::new(16, 16, 4),
         ] {
             let m = build(&csc, layout, img, params, Variant::Z);
             m.validate();
@@ -555,34 +559,25 @@ mod tests {
     #[test]
     fn spmv_m_equals_csc_reference() {
         let (csc, layout, img) = synthetic(10, 14, 5, 4);
-        for params in [CscvParams::new(2, 4, 2), CscvParams::new(5, 8, 3)] {
+        for params in [CscvParams::new(2, 4, 2), CscvParams::new(5, 8, 4)] {
             let m = build(&csc, layout, img, params, Variant::M);
             m.validate();
             spmv_single_thread_check(&csc, &m, params);
         }
     }
 
-    /// Direct (executor-free) single-thread SpMV over the blocks.
+    /// Single-thread SpMV: block by block in order, each `ỹ` scattered
+    /// straight into `y` (the one-thread `LocalCopies` path).
     fn spmv_single_thread_check(csc: &Csc<f64>, m: &CscvMatrix<f64>, params: CscvParams) {
-        use crate::kernels::{run_block_m, run_block_z, scatter_add};
+        use crate::exec::{CscvExec, ParallelStrategy};
+        use cscv_sparse::{SpmvExecutor, ThreadPool};
+        assert_eq!(m.params, params);
         let x: Vec<f64> = (0..csc.n_cols()).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut y_ref = vec![0.0; csc.n_rows()];
         csc.spmv_serial(&x, &mut y_ref);
         let mut y = vec![0.0; csc.n_rows()];
-        let mut ytil = vec![0.0; m.max_ytil];
-        let (isa, s) = (cscv_simd::Isa::detect(), params.s_vxg);
-        for blk in &m.blocks {
-            match (m.variant, params.s_vvec) {
-                (Variant::Z, 4) => run_block_z::<f64, 4>(isa, blk, s, &x, &mut ytil),
-                (Variant::Z, 8) => run_block_z::<f64, 8>(isa, blk, s, &x, &mut ytil),
-                (Variant::Z, 16) => run_block_z::<f64, 16>(isa, blk, s, &x, &mut ytil),
-                (Variant::M, 4) => run_block_m::<f64, 4, false>(isa, blk, s, &x, &mut ytil),
-                (Variant::M, 8) => run_block_m::<f64, 8, false>(isa, blk, s, &x, &mut ytil),
-                (Variant::M, 16) => run_block_m::<f64, 16, false>(isa, blk, s, &x, &mut ytil),
-                _ => unreachable!(),
-            }
-            scatter_add(isa, blk, &ytil, &mut y, 0);
-        }
+        let exec = CscvExec::with_strategy(m.clone(), ParallelStrategy::LocalCopies);
+        exec.spmv(&x, &mut y, &ThreadPool::new(1));
         cscv_sparse::dense::assert_vec_close(&y, &y_ref, 1e-12);
     }
 
@@ -691,13 +686,25 @@ mod tests {
         };
         let err = try_build(&csc, bad_layout, img, CscvParams::new(4, 4, 2), Variant::Z);
         assert!(matches!(err, Err(BuildError::ShapeMismatch { .. })));
-        let err = try_build(&csc, layout, img, CscvParams::new(4, 4, 64), Variant::Z).unwrap_err();
-        assert_eq!(
-            err,
-            BuildError::VxgAboveKernelBound {
-                s_vxg: 64,
-                max: crate::kernels::MAX_VXG
+        for s_vxg in [3, 32, 64] {
+            let err = try_build(&csc, layout, img, CscvParams::new(4, 4, s_vxg), Variant::Z);
+            assert_eq!(err.unwrap_err(), BuildError::UnsupportedVxg { s_vxg });
+        }
+    }
+
+    #[test]
+    fn try_build_accepts_every_compiled_vxg() {
+        let (csc, layout, img) = synthetic(8, 12, 4, 4);
+        for s_vxg in crate::params::VXG_SIZES {
+            for variant in [Variant::Z, Variant::M] {
+                let m = try_build(&csc, layout, img, CscvParams::new(4, 4, s_vxg), variant);
+                m.unwrap().validate();
             }
+        }
+        let err = BuildError::UnsupportedVxg { s_vxg: 3 }.to_string();
+        assert!(
+            err.contains("S_VxG = 3") && err.contains("[1, 2, 4, 8, 16]"),
+            "{err}"
         );
     }
 

@@ -19,12 +19,64 @@ use crate::kernels::{
     run_block_z, run_block_z_multi, run_block_z_t, run_block_z_t_multi, scatter_add,
 };
 use crate::layout::{ImageShape, SinoLayout};
-use crate::params::CscvParams;
+use crate::params::{CscvParams, VXG_SIZES};
 use cscv_simd::expand::{select_path, ExpandPath};
 use cscv_simd::{Isa, MaskExpand, Scalar, Tier};
 use cscv_sparse::numa::NumaTopology;
 use cscv_sparse::shared::{reduce_buffers_into, Scratch, SharedSliceMut};
 use cscv_sparse::{partition, Csc, SpmvExecutor, ThreadPool};
+
+/// Call `$self.$method::<W, HW, S>$args` for the matrix's kernel shape:
+/// lane width `W = S_VVec`, hardware expand `HW`, and `S = S_VxG`. The
+/// one place a runtime shape becomes const generics.
+macro_rules! dispatch_shape {
+    ($self:ident.$method:ident $args:tt) => {
+        dispatch_shape!(@arms $self, $method, $args;
+            (4, false) (4, true) (8, false) (8, true) (16, false) (16, true))
+    };
+    (@arms $self:ident, $method:ident, $args:tt; $(($w:literal, $hw:literal))*) => {
+        match (
+            $self.m.params.s_vvec,
+            $self.path == ExpandPath::Hardware,
+            $self.m.params.s_vxg,
+        ) {
+            $(
+                ($w, $hw, 1) => $self.$method::<$w, $hw, 1> $args,
+                ($w, $hw, 2) => $self.$method::<$w, $hw, 2> $args,
+                ($w, $hw, 4) => $self.$method::<$w, $hw, 4> $args,
+                ($w, $hw, 8) => $self.$method::<$w, $hw, 8> $args,
+                ($w, $hw, 16) => $self.$method::<$w, $hw, 16> $args,
+            )*
+            _ => unreachable!("shape validated by CscvExec::with_strategy"),
+        }
+    };
+}
+
+/// Register budget of one batched forward pass, in accumulator lanes:
+/// its tile is `K·W` lanes. Past it the tile spills (measured: a W = 16,
+/// K = 8 tile ran at a fifth of the K = 4 rate, f32 and f64).
+const FORWARD_TILE_LANES: usize = 64;
+/// Register budget of one batched transpose pass: its tile is `S·K·W`
+/// lanes, one `K×W` accumulator per VxG member column.
+const TRANSPOSE_TILE_LANES: usize = 128;
+
+/// The register-budget rule of both directions: a batched pass of `k`
+/// right-hand sides whose tile holds `lanes_per_rhs` lanes per RHS runs
+/// if `k = 1` (the single-RHS kernels) or its tile fits `budget`.
+const fn fits(k: usize, lanes_per_rhs: usize, budget: usize) -> bool {
+    k == 1 || k * lanes_per_rhs <= budget
+}
+
+/// The batch chunk widths [`fits`] allows, widest first, out of the
+/// compiled `K ∈ {8, 4, 2, 1}`.
+fn batch_widths(lanes_per_rhs: usize, budget: usize) -> &'static [usize] {
+    const WIDTHS: [usize; 4] = [8, 4, 2, 1];
+    let skip = WIDTHS
+        .iter()
+        .take_while(|&&k| !fits(k, lanes_per_rhs, budget))
+        .count();
+    &WIDTHS[skip..]
+}
 
 /// Tally one block-kernel pass into the trace counters (traced builds
 /// only — the `ENABLED` guard makes this whole body dead code
@@ -128,6 +180,11 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         // construction when `check-invariants` is on, since matrices may
         // arrive hand-assembled rather than from the builder.
         crate::invariants::assert_valid(&m, "CscvExec::with_strategy");
+        assert!(
+            VXG_SIZES.contains(&m.params.s_vxg),
+            "S_VxG = {} has no compiled kernel (supported: {VXG_SIZES:?})",
+            m.params.s_vxg
+        );
         let path = match m.params.s_vvec {
             4 => select_path::<T, 4>(),
             8 => select_path::<T, 8>(),
@@ -269,12 +326,17 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     }
 
     #[inline(always)]
-    fn run_one_block<const W: usize, const HW: bool>(&self, bi: usize, x: &[T], ytil: &mut [T]) {
+    fn run_one_block<const W: usize, const HW: bool, const S: usize>(
+        &self,
+        bi: usize,
+        x: &[T],
+        ytil: &mut [T],
+    ) {
         let blk = &self.m.blocks[bi];
         trace_block_pass(&self.m, blk, 1);
         match self.m.variant {
-            Variant::Z => run_block_z::<T, W>(self.isa, blk, self.m.params.s_vxg, x, ytil),
-            Variant::M => run_block_m::<T, W, HW>(self.isa, blk, self.m.params.s_vxg, x, ytil),
+            Variant::Z => run_block_z::<T, W, S>(self.isa, blk, x, ytil),
+            Variant::M => run_block_m::<T, W, HW, S>(self.isa, blk, x, ytil),
         }
     }
 
@@ -308,19 +370,10 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         assert_eq!(y.len(), self.m.n_rows);
         assert_eq!(x.len(), self.m.n_cols);
         self.trace_dispatch(self.m.n_rows, self.m.n_cols);
-        let hw = self.path == ExpandPath::Hardware;
-        match (self.m.params.s_vvec, hw) {
-            (4, false) => self.spmv_transpose_impl::<4, false>(y, x, pool),
-            (4, true) => self.spmv_transpose_impl::<4, true>(y, x, pool),
-            (8, false) => self.spmv_transpose_impl::<8, false>(y, x, pool),
-            (8, true) => self.spmv_transpose_impl::<8, true>(y, x, pool),
-            (16, false) => self.spmv_transpose_impl::<16, false>(y, x, pool),
-            (16, true) => self.spmv_transpose_impl::<16, true>(y, x, pool),
-            _ => unreachable!("validated by CscvParams"),
-        }
+        dispatch_shape!(self.spmv_transpose_impl(y, x, pool))
     }
 
-    fn spmv_transpose_impl<const W: usize, const HW: bool>(
+    fn spmv_transpose_impl<const W: usize, const HW: bool, const S: usize>(
         &self,
         y: &[T],
         x: &mut [T],
@@ -352,12 +405,9 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                     let blk = &self.m.blocks[bi as usize];
                     trace_block_pass(&self.m, blk, 1);
                     gather(self.isa, blk, y, ytil);
-                    let s_vxg = self.m.params.s_vxg;
                     match self.m.variant {
-                        Variant::Z => run_block_z_t::<T, W>(self.isa, blk, s_vxg, ytil, &mut sink),
-                        Variant::M => {
-                            run_block_m_t::<T, W, HW>(self.isa, blk, s_vxg, ytil, &mut sink)
-                        }
+                        Variant::Z => run_block_z_t::<T, W, S>(self.isa, blk, ytil, &mut sink),
+                        Variant::M => run_block_m_t::<T, W, HW, S>(self.isa, blk, ytil, &mut sink),
                     }
                 }
             }
@@ -373,19 +423,10 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         assert_eq!(y.len(), k * self.m.n_rows);
         assert_eq!(x.len(), k * self.m.n_cols);
         self.trace_dispatch(k * self.m.n_rows, k * self.m.n_cols);
-        let hw = self.path == ExpandPath::Hardware;
-        match (self.m.params.s_vvec, hw) {
-            (4, false) => self.spmv_transpose_multi_impl::<4, false>(y, k, x, pool),
-            (4, true) => self.spmv_transpose_multi_impl::<4, true>(y, k, x, pool),
-            (8, false) => self.spmv_transpose_multi_impl::<8, false>(y, k, x, pool),
-            (8, true) => self.spmv_transpose_multi_impl::<8, true>(y, k, x, pool),
-            (16, false) => self.spmv_transpose_multi_impl::<16, false>(y, k, x, pool),
-            (16, true) => self.spmv_transpose_multi_impl::<16, true>(y, k, x, pool),
-            _ => unreachable!("validated by CscvParams"),
-        }
+        dispatch_shape!(self.spmv_transpose_multi_impl(y, k, x, pool))
     }
 
-    fn spmv_multi_impl<const W: usize, const HW: bool>(
+    fn spmv_multi_impl<const W: usize, const HW: bool, const S: usize>(
         &self,
         x: &[T],
         k: usize,
@@ -393,23 +434,24 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         pool: &ThreadPool,
     ) {
         let (n_cols, n_rows) = (self.m.n_cols, self.m.n_rows);
-        // A register tile wider than 64 lanes (K·W) spills: at W = 16 a
-        // K = 8 tile runs at a fifth of the K = 4 rate (f32 and f64), so
-        // 16-lane blocks cap the tile at 4, as the transpose always does.
-        let widths: &[usize] = if W * 8 <= 64 {
-            &[8, 4, 2, 1]
-        } else {
-            &[4, 2, 1]
-        };
         let mut done = 0usize;
-        for chunk in partition::batch_chunks(k, widths) {
+        for chunk in partition::batch_chunks(k, batch_widths(W, FORWARD_TILE_LANES)) {
             let xs = &x[done * n_cols..(done + chunk) * n_cols];
             let ys = &mut y[done * n_rows..(done + chunk) * n_rows];
+            // The `const` guards repeat the rule at compile time, so
+            // tile widths it rules out are never instantiated.
             match chunk {
-                8 => self.spmm_chunk::<W, HW, 8>(xs, ys, pool),
-                4 => self.spmm_chunk::<W, HW, 4>(xs, ys, pool),
-                2 => self.spmm_chunk::<W, HW, 2>(xs, ys, pool),
-                _ => self.spmv_impl::<W, HW>(xs, ys, pool),
+                8 if const { fits(8, W, FORWARD_TILE_LANES) } => {
+                    self.spmm_chunk::<W, HW, S, 8>(xs, ys, pool)
+                }
+                4 if const { fits(4, W, FORWARD_TILE_LANES) } => {
+                    self.spmm_chunk::<W, HW, S, 4>(xs, ys, pool)
+                }
+                2 if const { fits(2, W, FORWARD_TILE_LANES) } => {
+                    self.spmm_chunk::<W, HW, S, 2>(xs, ys, pool)
+                }
+                1 => self.spmv_impl::<W, HW, S>(xs, ys, pool),
+                _ => unreachable!("batch_widths and the guards share `fits`"),
             }
             done += chunk;
         }
@@ -419,7 +461,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     /// own whole view groups (row-disjoint, as in the single-RHS
     /// ViewGroups strategy); each thread's ỹ scratch holds the `K`
     /// interleaved segments.
-    fn spmm_chunk<const W: usize, const HW: bool, const K: usize>(
+    fn spmm_chunk<const W: usize, const HW: bool, const S: usize, const K: usize>(
         &self,
         x: &[T],
         y: &mut [T],
@@ -447,13 +489,12 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                 for bi in info.block_range.clone() {
                     let blk = &self.m.blocks[bi];
                     trace_block_pass(&self.m, blk, K as u64);
-                    let s_vxg = self.m.params.s_vxg;
                     match self.m.variant {
                         Variant::Z => {
-                            run_block_z_multi::<T, W, K>(self.isa, blk, s_vxg, x, n_cols, ytil)
+                            run_block_z_multi::<T, W, S, K>(self.isa, blk, x, n_cols, ytil)
                         }
                         Variant::M => {
-                            run_block_m_multi::<T, W, HW, K>(self.isa, blk, s_vxg, x, n_cols, ytil)
+                            run_block_m_multi::<T, W, HW, S, K>(self.isa, blk, x, n_cols, ytil)
                         }
                     }
                     // Scatter the K interleaved segments straight into
@@ -476,7 +517,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         });
     }
 
-    fn spmv_transpose_multi_impl<const W: usize, const HW: bool>(
+    fn spmv_transpose_multi_impl<const W: usize, const HW: bool, const S: usize>(
         &self,
         y: &[T],
         k: usize,
@@ -485,16 +526,21 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     ) {
         let (n_cols, n_rows) = (self.m.n_cols, self.m.n_rows);
         let mut done = 0usize;
-        // The transpose caps its tile at 4: the per-VxG accumulator is
-        // `S_VxG·K·W` lanes wide, and at K = 8 the register spill traffic
-        // would undo the amortization being bought.
-        for chunk in partition::batch_chunks(k, &[4, 2, 1]) {
+        for chunk in partition::batch_chunks(k, batch_widths(S * W, TRANSPOSE_TILE_LANES)) {
             let ys = &y[done * n_rows..(done + chunk) * n_rows];
             let xs = &mut x[done * n_cols..(done + chunk) * n_cols];
             match chunk {
-                4 => self.spmm_t_chunk::<W, HW, 4>(ys, xs, pool),
-                2 => self.spmm_t_chunk::<W, HW, 2>(ys, xs, pool),
-                _ => self.spmv_transpose_impl::<W, HW>(ys, xs, pool),
+                8 if const { fits(8, S * W, TRANSPOSE_TILE_LANES) } => {
+                    self.spmm_t_chunk::<W, HW, S, 8>(ys, xs, pool)
+                }
+                4 if const { fits(4, S * W, TRANSPOSE_TILE_LANES) } => {
+                    self.spmm_t_chunk::<W, HW, S, 4>(ys, xs, pool)
+                }
+                2 if const { fits(2, S * W, TRANSPOSE_TILE_LANES) } => {
+                    self.spmm_t_chunk::<W, HW, S, 2>(ys, xs, pool)
+                }
+                1 => self.spmv_transpose_impl::<W, HW, S>(ys, xs, pool),
+                _ => unreachable!("batch_widths and the guards share `fits`"),
             }
             done += chunk;
         }
@@ -503,7 +549,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     /// One compiled-width chunk of the batched transpose. Threads own
     /// whole image tiles (column-disjoint); the sink lands each member
     /// column's `K` partial sums in the `K` column-major `x` copies.
-    fn spmm_t_chunk<const W: usize, const HW: bool, const K: usize>(
+    fn spmm_t_chunk<const W: usize, const HW: bool, const S: usize, const K: usize>(
         &self,
         y: &[T],
         x: &mut [T],
@@ -540,21 +586,25 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                     let blk = &self.m.blocks[bi as usize];
                     trace_block_pass(&self.m, blk, K as u64);
                     gather_multi::<T, W, K>(self.isa, blk, y, n_rows, ytil);
-                    let s_vxg = self.m.params.s_vxg;
                     match self.m.variant {
                         Variant::Z => {
-                            run_block_z_t_multi::<T, W, K>(self.isa, blk, s_vxg, ytil, &mut sink)
+                            run_block_z_t_multi::<T, W, S, K>(self.isa, blk, ytil, &mut sink)
                         }
-                        Variant::M => run_block_m_t_multi::<T, W, HW, K>(
-                            self.isa, blk, s_vxg, ytil, &mut sink,
-                        ),
+                        Variant::M => {
+                            run_block_m_t_multi::<T, W, HW, S, K>(self.isa, blk, ytil, &mut sink)
+                        }
                     }
                 }
             }
         });
     }
 
-    fn spmv_impl<const W: usize, const HW: bool>(&self, x: &[T], y: &mut [T], pool: &ThreadPool) {
+    fn spmv_impl<const W: usize, const HW: bool, const S: usize>(
+        &self,
+        x: &[T],
+        y: &mut [T],
+        pool: &ThreadPool,
+    ) {
         let n = pool.n_threads();
         match self.strategy {
             ParallelStrategy::ViewGroups => {
@@ -574,7 +624,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                         let dst = unsafe { out.slice_mut(info.row_range.clone()) };
                         dst.fill(T::ZERO);
                         for bi in info.block_range.clone() {
-                            self.run_one_block::<W, HW>(bi, x, ytil);
+                            self.run_one_block::<W, HW, S>(bi, x, ytil);
                             let start = info.row_range.start;
                             scatter_add(self.isa, &self.m.blocks[bi], ytil, dst, start);
                         }
@@ -586,7 +636,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                     let mut ytil_bufs = self.ytil_scratch.take(1, self.m.max_ytil);
                     y.fill(T::ZERO);
                     for bi in 0..self.m.blocks.len() {
-                        self.run_one_block::<W, HW>(bi, x, &mut ytil_bufs[0]);
+                        self.run_one_block::<W, HW, S>(bi, x, &mut ytil_bufs[0]);
                         scatter_add(self.isa, &self.m.blocks[bi], &ytil_bufs[0], y, 0);
                     }
                     return;
@@ -603,7 +653,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                         // SAFETY: slot `tid` only.
                         let y_local = &mut unsafe { ys.slice_mut(tid..tid + 1) }[0];
                         for bi in ranges[tid].clone() {
-                            self.run_one_block::<W, HW>(bi, x, ytil);
+                            self.run_one_block::<W, HW, S>(bi, x, ytil);
                             scatter_add(self.isa, &self.m.blocks[bi], ytil, y_local, 0);
                         }
                     });
@@ -640,38 +690,21 @@ impl<T: Scalar + MaskExpand> SpmvExecutor<T> for CscvExec<T> {
         assert_eq!(x.len(), self.m.n_cols);
         assert_eq!(y.len(), self.m.n_rows);
         self.trace_dispatch(self.m.n_cols, self.m.n_rows);
-        let hw = self.path == ExpandPath::Hardware;
-        match (self.m.params.s_vvec, hw) {
-            (4, false) => self.spmv_impl::<4, false>(x, y, pool),
-            (4, true) => self.spmv_impl::<4, true>(x, y, pool),
-            (8, false) => self.spmv_impl::<8, false>(x, y, pool),
-            (8, true) => self.spmv_impl::<8, true>(x, y, pool),
-            (16, false) => self.spmv_impl::<16, false>(x, y, pool),
-            (16, true) => self.spmv_impl::<16, true>(x, y, pool),
-            _ => unreachable!("validated by CscvParams"),
-        }
+        dispatch_shape!(self.spmv_impl(x, y, pool))
     }
 
     /// True batched SpMM: one matrix-stream pass per register-tile chunk
-    /// (k split into {8, 4, 2, 1}), view-group partitioned. See the
-    /// module docs — the batch dimension rides in the accumulator tile,
-    /// so matrix (and CSCV-M mask-expansion) traffic is paid once per
-    /// chunk rather than once per RHS.
+    /// (k split into the chunk widths the register budget allows),
+    /// view-group partitioned. See the module docs — the batch dimension
+    /// rides in the accumulator tile, so matrix (and CSCV-M
+    /// mask-expansion) traffic is paid once per chunk rather than once
+    /// per RHS.
     fn spmv_multi(&self, x: &[T], k: usize, y: &mut [T], pool: &ThreadPool) {
         assert!(k > 0, "batch width must be positive");
         assert_eq!(x.len(), k * self.m.n_cols);
         assert_eq!(y.len(), k * self.m.n_rows);
         self.trace_dispatch(k * self.m.n_cols, k * self.m.n_rows);
-        let hw = self.path == ExpandPath::Hardware;
-        match (self.m.params.s_vvec, hw) {
-            (4, false) => self.spmv_multi_impl::<4, false>(x, k, y, pool),
-            (4, true) => self.spmv_multi_impl::<4, true>(x, k, y, pool),
-            (8, false) => self.spmv_multi_impl::<8, false>(x, k, y, pool),
-            (8, true) => self.spmv_multi_impl::<8, true>(x, k, y, pool),
-            (16, false) => self.spmv_multi_impl::<16, false>(x, k, y, pool),
-            (16, true) => self.spmv_multi_impl::<16, true>(x, k, y, pool),
-            _ => unreachable!("validated by CscvParams"),
-        }
+        dispatch_shape!(self.spmv_multi_impl(x, k, y, pool))
     }
 }
 
@@ -716,7 +749,7 @@ mod tests {
         csc.spmv_serial(&x, &mut y_ref);
         for params in [
             CscvParams::new(4, 4, 2),
-            CscvParams::new(8, 8, 3),
+            CscvParams::new(8, 8, 4),
             CscvParams::new(3, 16, 1),
         ] {
             let m = build(&csc, layout, img, params, variant);
@@ -776,7 +809,7 @@ mod tests {
         for variant in [Variant::Z, Variant::M] {
             for params in [
                 CscvParams::new(4, 4, 2),
-                CscvParams::new(8, 8, 3),
+                CscvParams::new(8, 8, 4),
                 CscvParams::new(3, 16, 1),
             ] {
                 let exec = CscvExec::new(build(&csc, layout, img, params, variant));
@@ -788,6 +821,86 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every compiled kernel shape — `S_VxG ∈ VXG_SIZES` × `W ∈ {4, 8,
+    /// 16}` × Z/M — forward and transpose, single-RHS and batched at
+    /// `k ∈ {1, 2, 4, 8}`: close to the serial CSC reference, and the
+    /// same bits on 1, 2 and 5 threads and batched or not (the
+    /// accumulation order of an output never depends on either).
+    #[test]
+    fn every_shape_matches_reference_with_equal_bits_across_threads() {
+        let (csc, layout, img) = ct_like(13, 24, 8, 6);
+        let (nc, nr) = (csc.n_cols(), csc.n_rows());
+        let x: Vec<f64> = (0..8 * nc).map(|i| (i as f64 * 0.29).sin()).collect();
+        let y: Vec<f64> = (0..8 * nr).map(|i| (i as f64 * 0.17).cos()).collect();
+        let (mut fwd_ref, mut bwd_ref) = (vec![0.0; 8 * nr], vec![0.0; 8 * nc]);
+        for kk in 0..8 {
+            csc.spmv_serial(
+                &x[kk * nc..(kk + 1) * nc],
+                &mut fwd_ref[kk * nr..(kk + 1) * nr],
+            );
+            csc.spmv_transpose_serial(
+                &y[kk * nr..(kk + 1) * nr],
+                &mut bwd_ref[kk * nc..(kk + 1) * nc],
+            );
+        }
+        let pools: Vec<ThreadPool> = [1, 2, 5].into_iter().map(ThreadPool::new).collect();
+        for s_vxg in VXG_SIZES {
+            for w in [4, 8, 16] {
+                for variant in [Variant::Z, Variant::M] {
+                    let params = CscvParams::new(4, w, s_vxg);
+                    let exec = CscvExec::new(build(&csc, layout, img, params, variant));
+                    let tag = format!("{variant} {params}");
+                    let (mut fwd, mut bwd) = (vec![f64::NAN; 8 * nr], vec![f64::NAN; 8 * nc]);
+                    for kk in 0..8 {
+                        let (xs, ys) = (&x[kk * nc..(kk + 1) * nc], &y[kk * nr..(kk + 1) * nr]);
+                        exec.spmv(xs, &mut fwd[kk * nr..(kk + 1) * nr], &pools[0]);
+                        exec.spmv_transpose(ys, &mut bwd[kk * nc..(kk + 1) * nc], &pools[0]);
+                    }
+                    assert_vec_close(&fwd, &fwd_ref, 1e-11);
+                    assert_vec_close(&bwd, &bwd_ref, 1e-11);
+                    for pool in &pools {
+                        for k in [1usize, 2, 4, 8] {
+                            let mut ym = vec![f64::NAN; k * nr];
+                            exec.spmv_multi(&x[..k * nc], k, &mut ym, pool);
+                            assert_eq!(bits(&ym), bits(&fwd[..k * nr]), "{tag} fwd k={k}");
+                            let mut xm = vec![f64::NAN; k * nc];
+                            exec.spmv_transpose_multi(&y[..k * nr], k, &mut xm, pool);
+                            assert_eq!(bits(&xm), bits(&bwd[..k * nc]), "{tag} bwd k={k}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_widths_follow_the_register_budget() {
+        // Forward tiles: K·W ≤ 64 lanes.
+        assert_eq!(batch_widths(4, FORWARD_TILE_LANES), [8, 4, 2, 1]);
+        assert_eq!(batch_widths(8, FORWARD_TILE_LANES), [8, 4, 2, 1]);
+        assert_eq!(batch_widths(16, FORWARD_TILE_LANES), [4, 2, 1]);
+        // Transpose tiles: S·K·W ≤ 128 lanes, which keeps the default
+        // CSCV-M (S = 4, W = 8) and CSCV-Z (S = 2, W = 16) at K = 4.
+        assert_eq!(batch_widths(4 * 8, TRANSPOSE_TILE_LANES), [4, 2, 1]);
+        assert_eq!(batch_widths(2 * 16, TRANSPOSE_TILE_LANES), [4, 2, 1]);
+        assert_eq!(batch_widths(4, TRANSPOSE_TILE_LANES), [8, 4, 2, 1]);
+        assert_eq!(batch_widths(16 * 8, TRANSPOSE_TILE_LANES), [1]);
+        assert_eq!(batch_widths(16 * 16, TRANSPOSE_TILE_LANES), [1]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn executor_rejects_a_matrix_without_compiled_vxg() {
+        let (csc, layout, img) = ct_like(8, 20, 4, 4);
+        let mut m = build(&csc, layout, img, CscvParams::new(4, 8, 2), Variant::Z);
+        m.params.s_vxg = 3;
+        let _ = CscvExec::new(m);
     }
 
     #[test]
@@ -817,7 +930,7 @@ mod tests {
         let (csc, layout, img) = ct_like(13, 24, 8, 6);
         let (nc, nr) = (csc.n_cols(), csc.n_rows());
         for variant in [Variant::Z, Variant::M] {
-            for params in [CscvParams::new(4, 4, 2), CscvParams::new(8, 8, 3)] {
+            for params in [CscvParams::new(4, 4, 2), CscvParams::new(8, 8, 4)] {
                 let exec = CscvExec::new(build(&csc, layout, img, params, variant));
                 // Odd k exercises the {8,4,2,1} chunk decomposition.
                 for k in [1usize, 3, 5, 8, 11] {

@@ -9,6 +9,12 @@
 //! CSCV-M differs only in decompressing each lane block first (hardware
 //! `vexpand` or `soft-vexpand`, chosen once per matrix).
 //!
+//! `S_VxG` is the const generic `S` of every block kernel, like the lane
+//! width `W` and the batch width `K`: the per-VxG tiles — the gathered
+//! `[T; S]` x values forward, the `[[T; W]; S]` accumulators of the
+//! transpose — then have a compile-time shape and stay in registers.
+//! [`crate::params::VXG_SIZES`] lists the compiled values.
+//!
 //! Each public kernel is an [`isa_dispatch!`] wrapper: it takes the
 //! executor's detected [`Isa`](cscv_simd::Isa) and runs the
 //! `#[inline(always)]` `*_body` function beside it inside that tier's
@@ -22,9 +28,6 @@ use cscv_simd::isa_dispatch;
 use cscv_simd::lanes::{fma_lanes, fma_tile, hsum, load_lanes, load_tile, store_lanes, store_tile};
 use cscv_simd::{MaskExpand, Scalar};
 
-/// Upper bound on `S_VxG` (x-value gather buffer size).
-pub const MAX_VXG: usize = 32;
-
 /// Borrow a `W`-lane block from the value stream without a bounds check
 /// in the hot loop (checked in debug builds).
 #[inline(always)]
@@ -35,12 +38,41 @@ fn lane_block<T: Scalar, const W: usize>(vals: &[T], p: usize) -> &[T; W] {
     unsafe { &*(vals.as_ptr().add(p) as *const [T; W]) }
 }
 
+/// The `S` member columns of VxG `i`.
+#[inline(always)]
+// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
+fn vxg_cols<T: Scalar, const S: usize>(blk: &Block<T>, i: usize) -> &[u32] {
+    debug_assert_eq!(
+        blk.cols.len(),
+        blk.n_vxgs() * S,
+        "block built with another S_VxG"
+    );
+    &blk.cols[i * S..(i + 1) * S]
+}
+
+/// Lane block `p` of a CSCV-M stream, mask-expanded: hardware `vexpand`
+/// when `HW`, `soft-vexpand` otherwise.
+#[inline(always)]
+fn expand_block<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+    mask: u32,
+    vals: &[T],
+    p: usize,
+) -> [T; W] {
+    if HW {
+        debug_assert!(vals.len() >= p + mask.count_ones() as usize);
+        // SAFETY: caller verified hardware availability; the stream
+        // holds popcount(mask) values at p by build.
+        unsafe { T::expand_hw::<W>(mask, vals.as_ptr().add(p)) }
+    } else {
+        expand_soft::<T, W>(mask, &vals[p..])
+    }
+}
+
 isa_dispatch! {
     /// CSCV-Z block kernel: `ỹ += x ⊗ block` with padding zeros kept.
     /// `ytil` must hold at least `blk.ytil_len()` elements; it is zeroed here.
-    pub fn run_block_z<T: Scalar, const W: usize>(
+    pub fn run_block_z<T: Scalar, const W: usize, const S: usize>(
         blk: &Block<T>,
-        s_vxg: usize,
         x: &[T],
         ytil: &mut [T],
     ) => run_block_z_body;
@@ -48,28 +80,27 @@ isa_dispatch! {
 
 #[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub(crate) fn run_block_z_body<T: Scalar, const W: usize>(
+pub(crate) fn run_block_z_body<T: Scalar, const W: usize, const S: usize>(
     blk: &Block<T>,
-    s_vxg: usize,
     x: &[T],
     ytil: &mut [T],
 ) {
     let ytil = &mut ytil[..blk.ytil_len()];
     ytil.fill(T::ZERO);
     let vals = blk.vals.as_slice();
-    let mut xs = [T::ZERO; MAX_VXG];
     for i in 0..blk.n_vxgs() {
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        for (s, &c) in cols.iter().enumerate() {
-            xs[s] = x[c as usize];
+        let cols = vxg_cols::<T, S>(blk, i);
+        let mut xs = [T::ZERO; S];
+        for (xv, &c) in xs.iter_mut().zip(cols) {
+            *xv = x[c as usize];
         }
         let mut p = blk.val_ptr[i] as usize;
         for ci in 0..count {
             let at = q + ci * W;
             let mut acc: [T; W] = load_lanes(ytil, at);
-            for &xv in &xs[..s_vxg] {
+            for &xv in &xs {
                 fma_lanes(&mut acc, xv, lane_block::<T, W>(vals, p));
                 p += W;
             }
@@ -108,9 +139,8 @@ isa_dispatch! {
     /// CSCV-M block kernel: padding zeros removed; each lane block is
     /// re-inflated by mask expansion before the FMA. `HW` selects the
     /// hardware `vexpand` path (caller verified availability).
-    pub fn run_block_m<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+    pub fn run_block_m<T: Scalar + MaskExpand, const W: usize, const HW: bool, const S: usize>(
         blk: &Block<T>,
-        s_vxg: usize,
         x: &[T],
         ytil: &mut [T],
     ) => run_block_m_body;
@@ -118,9 +148,13 @@ isa_dispatch! {
 
 #[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub(crate) fn run_block_m_body<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+pub(crate) fn run_block_m_body<
+    T: Scalar + MaskExpand,
+    const W: usize,
+    const HW: bool,
+    const S: usize,
+>(
     blk: &Block<T>,
-    s_vxg: usize,
     x: &[T],
     ytil: &mut [T],
 ) {
@@ -129,31 +163,24 @@ pub(crate) fn run_block_m_body<T: Scalar + MaskExpand, const W: usize, const HW:
     ytil.fill(T::ZERO);
     let vals = blk.vals.as_slice();
     let masks = blk.masks.as_slice();
-    let mut xs = [T::ZERO; MAX_VXG];
     let mut p = 0usize;
     let mut mi = 0usize;
     for i in 0..blk.n_vxgs() {
         debug_assert_eq!(p, blk.val_ptr[i] as usize);
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        for (s, &c) in cols.iter().enumerate() {
-            xs[s] = x[c as usize];
+        let cols = vxg_cols::<T, S>(blk, i);
+        let mut xs = [T::ZERO; S];
+        for (xv, &c) in xs.iter_mut().zip(cols) {
+            *xv = x[c as usize];
         }
         for ci in 0..count {
             let at = q + ci * W;
             let mut acc: [T; W] = load_lanes(ytil, at);
-            for &xv in &xs[..s_vxg] {
+            for &xv in &xs {
                 let mask = read_mask::<W>(masks, mi);
                 mi += mask_bytes;
-                let lanes: [T; W] = if HW {
-                    debug_assert!(vals.len() >= p + mask.count_ones() as usize);
-                    // SAFETY: caller verified hardware availability; the
-                    // stream holds popcount(mask) values at p by build.
-                    unsafe { T::expand_hw::<W>(mask, vals.as_ptr().add(p)) }
-                } else {
-                    expand_soft::<T, W>(mask, &vals[p..])
-                };
+                let lanes = expand_block::<T, W, HW>(mask, vals, p);
                 p += mask.count_ones() as usize;
                 fma_lanes(&mut acc, xv, &lanes);
             }
@@ -211,9 +238,8 @@ isa_dispatch! {
     /// future-work `x = Aᵀy` back-projection, here implemented). `ytil` must
     /// already hold the gathered `ỹ` (see [`gather`]); per member column the
     /// kernel accumulates a `W`-lane dot product, horizontally summed once.
-    pub fn run_block_z_t<T: Scalar, const W: usize>(
+    pub fn run_block_z_t<T: Scalar, const W: usize, const S: usize>(
         blk: &Block<T>,
-        s_vxg: usize,
         ytil: &[T],
         sink: &mut impl FnMut(usize, T),
     ) => run_block_z_t_body;
@@ -221,9 +247,8 @@ isa_dispatch! {
 
 #[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub(crate) fn run_block_z_t_body<T: Scalar, const W: usize>(
+pub(crate) fn run_block_z_t_body<T: Scalar, const W: usize, const S: usize>(
     blk: &Block<T>,
-    s_vxg: usize,
     ytil: &[T],
     sink: &mut impl FnMut(usize, T),
 ) {
@@ -231,12 +256,11 @@ pub(crate) fn run_block_z_t_body<T: Scalar, const W: usize>(
     for i in 0..blk.n_vxgs() {
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        let mut accs = [[T::ZERO; W]; MAX_VXG];
+        let mut accs = [[T::ZERO; W]; S];
         let mut p = blk.val_ptr[i] as usize;
         for ci in 0..count {
             let yt: [T; W] = load_lanes(ytil, q + ci * W);
-            for acc in accs.iter_mut().take(s_vxg) {
+            for acc in &mut accs {
                 let v = lane_block::<T, W>(vals, p);
                 for l in 0..W {
                     acc[l] = v[l].mul_add(yt[l], acc[l]);
@@ -244,19 +268,18 @@ pub(crate) fn run_block_z_t_body<T: Scalar, const W: usize>(
                 p += W;
             }
         }
-        for (s, &c) in cols.iter().enumerate() {
+        for (acc, &c) in accs.iter().zip(vxg_cols::<T, S>(blk, i)) {
             // Padded members repeat a real column with all-zero values,
             // so the unconditional add is safe.
-            sink(c as usize, cscv_simd::lanes::hsum(&accs[s]));
+            sink(c as usize, hsum(acc));
         }
     }
 }
 
 isa_dispatch! {
     /// Transpose CSCV-M block kernel (mask-expanded values).
-    pub fn run_block_m_t<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+    pub fn run_block_m_t<T: Scalar + MaskExpand, const W: usize, const HW: bool, const S: usize>(
         blk: &Block<T>,
-        s_vxg: usize,
         ytil: &[T],
         sink: &mut impl FnMut(usize, T),
     ) => run_block_m_t_body;
@@ -264,9 +287,13 @@ isa_dispatch! {
 
 #[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub(crate) fn run_block_m_t_body<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+pub(crate) fn run_block_m_t_body<
+    T: Scalar + MaskExpand,
+    const W: usize,
+    const HW: bool,
+    const S: usize,
+>(
     blk: &Block<T>,
-    s_vxg: usize,
     ytil: &[T],
     sink: &mut impl FnMut(usize, T),
 ) {
@@ -279,29 +306,21 @@ pub(crate) fn run_block_m_t_body<T: Scalar + MaskExpand, const W: usize, const H
         debug_assert_eq!(p, blk.val_ptr[i] as usize);
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        let mut accs = [[T::ZERO; W]; MAX_VXG];
+        let mut accs = [[T::ZERO; W]; S];
         for ci in 0..count {
             let yt: [T; W] = load_lanes(ytil, q + ci * W);
-            for acc in accs.iter_mut().take(s_vxg) {
+            for acc in &mut accs {
                 let mask = read_mask::<W>(masks, mi);
                 mi += mask_bytes;
-                let lanes: [T; W] = if HW {
-                    debug_assert!(vals.len() >= p + mask.count_ones() as usize);
-                    // SAFETY: caller verified hardware availability; the
-                    // stream holds popcount(mask) values at p by build.
-                    unsafe { T::expand_hw::<W>(mask, vals.as_ptr().add(p)) }
-                } else {
-                    expand_soft::<T, W>(mask, &vals[p..])
-                };
+                let lanes = expand_block::<T, W, HW>(mask, vals, p);
                 p += mask.count_ones() as usize;
                 for l in 0..W {
                     acc[l] = lanes[l].mul_add(yt[l], acc[l]);
                 }
             }
         }
-        for (s, &c) in cols.iter().enumerate() {
-            sink(c as usize, cscv_simd::lanes::hsum(&accs[s]));
+        for (acc, &c) in accs.iter().zip(vxg_cols::<T, S>(blk, i)) {
+            sink(c as usize, hsum(acc));
         }
     }
     debug_assert_eq!(p, vals.len());
@@ -322,10 +341,22 @@ pub(crate) fn run_block_m_t_body<T: Scalar + MaskExpand, const W: usize, const H
 // `x[k·n_cols .. (k+1)·n_cols]` and `y[k·n_rows .. (k+1)·n_rows]`.
 // ---------------------------------------------------------------------
 
-/// Gather the `K` `x`-scalars of one member column into a tile row.
+/// Gather the `K` `x`-scalars of each of a VxG's `S` member columns.
 #[inline(always)]
-fn gather_xs<T: Scalar, const K: usize>(x: &[T], n_cols: usize, c: usize) -> [T; K] {
-    std::array::from_fn(|k| x[k * n_cols + c])
+fn gather_xs<T: Scalar, const K: usize, const S: usize>(
+    x: &[T],
+    n_cols: usize,
+    cols: &[u32],
+) -> [[T; K]; S] {
+    // Plain loops, not `array::from_fn`: the nested closures were left
+    // as an out-of-line call per VxG.
+    let mut xs = [[T::ZERO; K]; S];
+    for (xk, &c) in xs.iter_mut().zip(cols) {
+        for (k, xv) in xk.iter_mut().enumerate() {
+            *xv = x[k * n_cols + c as usize];
+        }
+    }
+    xs
 }
 
 isa_dispatch! {
@@ -333,9 +364,8 @@ isa_dispatch! {
     /// sides in one pass over the value stream. `x` holds `K` column-major
     /// RHS vectors of length `n_cols`; `ytil` must hold at least
     /// `K · blk.ytil_len()` elements (interleaved layout) and is zeroed here.
-    pub fn run_block_z_multi<T: Scalar, const W: usize, const K: usize>(
+    pub fn run_block_z_multi<T: Scalar, const W: usize, const S: usize, const K: usize>(
         blk: &Block<T>,
-        s_vxg: usize,
         x: &[T],
         n_cols: usize,
         ytil: &mut [T],
@@ -344,9 +374,8 @@ isa_dispatch! {
 
 #[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub(crate) fn run_block_z_multi_body<T: Scalar, const W: usize, const K: usize>(
+pub(crate) fn run_block_z_multi_body<T: Scalar, const W: usize, const S: usize, const K: usize>(
     blk: &Block<T>,
-    s_vxg: usize,
     x: &[T],
     n_cols: usize,
     ytil: &mut [T],
@@ -354,19 +383,15 @@ pub(crate) fn run_block_z_multi_body<T: Scalar, const W: usize, const K: usize>(
     let ytil = &mut ytil[..blk.ytil_len() * K];
     ytil.fill(T::ZERO);
     let vals = blk.vals.as_slice();
-    let mut xs = [[T::ZERO; K]; MAX_VXG];
     for i in 0..blk.n_vxgs() {
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        for (s, &c) in cols.iter().enumerate() {
-            xs[s] = gather_xs::<T, K>(x, n_cols, c as usize);
-        }
+        let xs = gather_xs::<T, K, S>(x, n_cols, vxg_cols::<T, S>(blk, i));
         let mut p = blk.val_ptr[i] as usize;
         for ci in 0..count {
             let at = (q + ci * W) * K;
             let mut accs: [[T; W]; K] = load_tile(ytil, at);
-            for xk in &xs[..s_vxg] {
+            for xk in &xs {
                 fma_tile(&mut accs, xk, lane_block::<T, W>(vals, p));
                 p += W;
             }
@@ -383,10 +408,10 @@ isa_dispatch! {
         T: Scalar + MaskExpand,
         const W: usize,
         const HW: bool,
+        const S: usize,
         const K: usize,
     >(
         blk: &Block<T>,
-        s_vxg: usize,
         x: &[T],
         n_cols: usize,
         ytil: &mut [T],
@@ -399,10 +424,10 @@ pub(crate) fn run_block_m_multi_body<
     T: Scalar + MaskExpand,
     const W: usize,
     const HW: bool,
+    const S: usize,
     const K: usize,
 >(
     blk: &Block<T>,
-    s_vxg: usize,
     x: &[T],
     n_cols: usize,
     ytil: &mut [T],
@@ -412,31 +437,20 @@ pub(crate) fn run_block_m_multi_body<
     ytil.fill(T::ZERO);
     let vals = blk.vals.as_slice();
     let masks = blk.masks.as_slice();
-    let mut xs = [[T::ZERO; K]; MAX_VXG];
     let mut p = 0usize;
     let mut mi = 0usize;
     for i in 0..blk.n_vxgs() {
         debug_assert_eq!(p, blk.val_ptr[i] as usize);
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        for (s, &c) in cols.iter().enumerate() {
-            xs[s] = gather_xs::<T, K>(x, n_cols, c as usize);
-        }
+        let xs = gather_xs::<T, K, S>(x, n_cols, vxg_cols::<T, S>(blk, i));
         for ci in 0..count {
             let at = (q + ci * W) * K;
             let mut accs: [[T; W]; K] = load_tile(ytil, at);
-            for xk in &xs[..s_vxg] {
+            for xk in &xs {
                 let mask = read_mask::<W>(masks, mi);
                 mi += mask_bytes;
-                let lanes: [T; W] = if HW {
-                    debug_assert!(vals.len() >= p + mask.count_ones() as usize);
-                    // SAFETY: caller verified hardware availability; the
-                    // stream holds popcount(mask) values at p by build.
-                    unsafe { T::expand_hw::<W>(mask, vals.as_ptr().add(p)) }
-                } else {
-                    expand_soft::<T, W>(mask, &vals[p..])
-                };
+                let lanes = expand_block::<T, W, HW>(mask, vals, p);
                 p += mask.count_ones() as usize;
                 fma_tile(&mut accs, xk, &lanes);
             }
@@ -445,7 +459,6 @@ pub(crate) fn run_block_m_multi_body<
     }
     debug_assert_eq!(p, vals.len());
 }
-
 isa_dispatch! {
     /// Scatter-add a batched interleaved `ỹ` into `K` output segments.
     /// `dst` holds `K` column-major segments of `seg_len` rows each (RHS `k`
@@ -517,9 +530,8 @@ isa_dispatch! {
     /// `K` right-hand sides in one value-stream pass. `ytil` must hold the
     /// interleaved gathered batch (see [`gather_multi`]); per member column
     /// the sink receives the `K` horizontal sums at once.
-    pub fn run_block_z_t_multi<T: Scalar, const W: usize, const K: usize>(
+    pub fn run_block_z_t_multi<T: Scalar, const W: usize, const S: usize, const K: usize>(
         blk: &Block<T>,
-        s_vxg: usize,
         ytil: &[T],
         sink: &mut impl FnMut(usize, &[T; K]),
     ) => run_block_z_t_multi_body;
@@ -527,9 +539,13 @@ isa_dispatch! {
 
 #[inline(always)]
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub(crate) fn run_block_z_t_multi_body<T: Scalar, const W: usize, const K: usize>(
+pub(crate) fn run_block_z_t_multi_body<
+    T: Scalar,
+    const W: usize,
+    const S: usize,
+    const K: usize,
+>(
     blk: &Block<T>,
-    s_vxg: usize,
     ytil: &[T],
     sink: &mut impl FnMut(usize, &[T; K]),
 ) {
@@ -537,12 +553,11 @@ pub(crate) fn run_block_z_t_multi_body<T: Scalar, const W: usize, const K: usize
     for i in 0..blk.n_vxgs() {
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        let mut accs = [[[T::ZERO; W]; K]; MAX_VXG];
+        let mut accs = [[[T::ZERO; W]; K]; S];
         let mut p = blk.val_ptr[i] as usize;
         for ci in 0..count {
             let yt: [[T; W]; K] = load_tile(ytil, (q + ci * W) * K);
-            for acc in accs.iter_mut().take(s_vxg) {
+            for acc in &mut accs {
                 let v = lane_block::<T, W>(vals, p);
                 for k in 0..K {
                     for l in 0..W {
@@ -552,10 +567,10 @@ pub(crate) fn run_block_z_t_multi_body<T: Scalar, const W: usize, const K: usize
                 p += W;
             }
         }
-        for (s, &c) in cols.iter().enumerate() {
+        for (acc, &c) in accs.iter().zip(vxg_cols::<T, S>(blk, i)) {
             // Padded members repeat a real column with all-zero values,
             // so the unconditional add is safe.
-            let sums: [T; K] = std::array::from_fn(|k| hsum(&accs[s][k]));
+            let sums: [T; K] = std::array::from_fn(|k| hsum(&acc[k]));
             sink(c as usize, &sums);
         }
     }
@@ -568,10 +583,10 @@ isa_dispatch! {
         T: Scalar + MaskExpand,
         const W: usize,
         const HW: bool,
+        const S: usize,
         const K: usize,
     >(
         blk: &Block<T>,
-        s_vxg: usize,
         ytil: &[T],
         sink: &mut impl FnMut(usize, &[T; K]),
     ) => run_block_m_t_multi_body;
@@ -583,10 +598,10 @@ pub(crate) fn run_block_m_t_multi_body<
     T: Scalar + MaskExpand,
     const W: usize,
     const HW: bool,
+    const S: usize,
     const K: usize,
 >(
     blk: &Block<T>,
-    s_vxg: usize,
     ytil: &[T],
     sink: &mut impl FnMut(usize, &[T; K]),
 ) {
@@ -599,21 +614,13 @@ pub(crate) fn run_block_m_t_multi_body<
         debug_assert_eq!(p, blk.val_ptr[i] as usize);
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        let mut accs = [[[T::ZERO; W]; K]; MAX_VXG];
+        let mut accs = [[[T::ZERO; W]; K]; S];
         for ci in 0..count {
             let yt: [[T; W]; K] = load_tile(ytil, (q + ci * W) * K);
-            for acc in accs.iter_mut().take(s_vxg) {
+            for acc in &mut accs {
                 let mask = read_mask::<W>(masks, mi);
                 mi += mask_bytes;
-                let lanes: [T; W] = if HW {
-                    debug_assert!(vals.len() >= p + mask.count_ones() as usize);
-                    // SAFETY: caller verified hardware availability; the
-                    // stream holds popcount(mask) values at p by build.
-                    unsafe { T::expand_hw::<W>(mask, vals.as_ptr().add(p)) }
-                } else {
-                    expand_soft::<T, W>(mask, &vals[p..])
-                };
+                let lanes = expand_block::<T, W, HW>(mask, vals, p);
                 p += mask.count_ones() as usize;
                 for k in 0..K {
                     for l in 0..W {
@@ -622,8 +629,8 @@ pub(crate) fn run_block_m_t_multi_body<
                 }
             }
         }
-        for (s, &c) in cols.iter().enumerate() {
-            let sums: [T; K] = std::array::from_fn(|k| hsum(&accs[s][k]));
+        for (acc, &c) in accs.iter().zip(vxg_cols::<T, S>(blk, i)) {
+            let sums: [T; K] = std::array::from_fn(|k| hsum(&acc[k]));
             sink(c as usize, &sums);
         }
     }
@@ -670,7 +677,7 @@ mod tests {
         x[3] = 2.0;
         x[5] = 10.0;
         let mut ytil = vec![f64::NAN; 8];
-        run_block_z::<f64, 4>(isa(), &blk, 2, &x, &mut ytil);
+        run_block_z::<f64, 4, 2>(isa(), &blk, &x, &mut ytil);
         // offset 0: 2*[1,2,3,4] + 10*[5,6,7,8] = [52,64,76,88]
         assert_eq!(&ytil[..4], &[52.0, 64.0, 76.0, 88.0]);
         // offset 1: 2*[0,0,1,0] + 10*[2,0,0,0] = [20,0,2,0]
@@ -704,12 +711,12 @@ mod tests {
         x[5] = 0.25;
         let mut yz = vec![0.0; 8];
         let mut ym = vec![0.0; 8];
-        run_block_z::<f64, 4>(isa(), &z, 2, &x, &mut yz);
-        run_block_m::<f64, 4, false>(isa(), &m, 2, &x, &mut ym);
+        run_block_z::<f64, 4, 2>(isa(), &z, &x, &mut yz);
+        run_block_m::<f64, 4, false, 2>(isa(), &m, &x, &mut ym);
         assert_eq!(yz, ym);
         if <f64 as MaskExpand>::hw_available::<4>() {
             let mut yh = vec![0.0; 8];
-            run_block_m::<f64, 4, true>(isa(), &m, 2, &x, &mut yh);
+            run_block_m::<f64, 4, true, 2>(isa(), &m, &x, &mut yh);
             assert_eq!(yz, yh);
         }
     }
@@ -748,14 +755,14 @@ mod tests {
         }
 
         let mut xz = vec![0.0; 8];
-        run_block_z_t::<f64, 4>(isa(), &z, 2, &ytil, &mut |c, v| xz[c] += v);
+        run_block_z_t::<f64, 4, 2>(isa(), &z, &ytil, &mut |c, v| xz[c] += v);
         assert_eq!(xz, x_ref);
         let mut xm = vec![0.0; 8];
-        run_block_m_t::<f64, 4, false>(isa(), &m, 2, &ytil, &mut |c, v| xm[c] += v);
+        run_block_m_t::<f64, 4, false, 2>(isa(), &m, &ytil, &mut |c, v| xm[c] += v);
         assert_eq!(xm, x_ref);
         if <f64 as MaskExpand>::hw_available::<4>() {
             let mut xh = vec![0.0; 8];
-            run_block_m_t::<f64, 4, true>(isa(), &m, 2, &ytil, &mut |c, v| xh[c] += v);
+            run_block_m_t::<f64, 4, true, 2>(isa(), &m, &ytil, &mut |c, v| xh[c] += v);
             assert_eq!(xh, x_ref);
         }
     }
@@ -802,7 +809,7 @@ mod tests {
         };
         let x = vec![2.0f64];
         let mut ytil = vec![f64::NAN; 16];
-        run_block_m::<f64, 16, false>(isa(), &blk, 1, &x, &mut ytil);
+        run_block_m::<f64, 16, false, 1>(isa(), &blk, &x, &mut ytil);
         assert_eq!(ytil[0], 6.0);
         assert_eq!(ytil[15], 14.0);
         assert_eq!(&ytil[1..15], &[0.0; 14]);
@@ -820,19 +827,13 @@ mod tests {
         let x: Vec<f64> = (0..K * n_cols).map(|i| (i as f64 * 0.7).sin()).collect();
 
         let mut ytil_multi = vec![f64::NAN; 8 * K];
-        run_block_z_multi::<f64, 4, K>(isa(), &z, 2, &x, n_cols, &mut ytil_multi);
+        run_block_z_multi::<f64, 4, 2, K>(isa(), &z, &x, n_cols, &mut ytil_multi);
         let mut ytil_m_multi = vec![f64::NAN; 8 * K];
-        run_block_m_multi::<f64, 4, false, K>(isa(), &m, 2, &x, n_cols, &mut ytil_m_multi);
+        run_block_m_multi::<f64, 4, false, 2, K>(isa(), &m, &x, n_cols, &mut ytil_m_multi);
 
         for k in 0..K {
             let mut ytil_one = vec![0.0; 8];
-            run_block_z::<f64, 4>(
-                isa(),
-                &z,
-                2,
-                &x[k * n_cols..(k + 1) * n_cols],
-                &mut ytil_one,
-            );
+            run_block_z::<f64, 4, 2>(isa(), &z, &x[k * n_cols..(k + 1) * n_cols], &mut ytil_one);
             // De-interleave: slot s of RHS k lives at (s/4)*4*K + k*4 + s%4.
             for (s, &one) in ytil_one.iter().enumerate() {
                 let at = (s / 4) * 4 * K + k * 4 + s % 4;
@@ -895,13 +896,13 @@ mod tests {
         gather_multi::<f64, 4, K>(isa(), &z, &y, n_rows, &mut ytil);
 
         let mut xz = [0.0; 8 * K];
-        run_block_z_t_multi::<f64, 4, K>(isa(), &z, 2, &ytil, &mut |c, sums| {
+        run_block_z_t_multi::<f64, 4, 2, K>(isa(), &z, &ytil, &mut |c, sums| {
             for k in 0..K {
                 xz[k * 8 + c] += sums[k];
             }
         });
         let mut xm = [0.0; 8 * K];
-        run_block_m_t_multi::<f64, 4, false, K>(isa(), &m, 2, &ytil, &mut |c, sums| {
+        run_block_m_t_multi::<f64, 4, false, 2, K>(isa(), &m, &ytil, &mut |c, sums| {
             for k in 0..K {
                 xm[k * 8 + c] += sums[k];
             }
@@ -911,7 +912,7 @@ mod tests {
             let mut ytil_one = vec![0.0; 8];
             gather(isa(), &z, &y[k * n_rows..(k + 1) * n_rows], &mut ytil_one);
             let mut x_one = vec![0.0; 8];
-            run_block_z_t::<f64, 4>(isa(), &z, 2, &ytil_one, &mut |c, v| x_one[c] += v);
+            run_block_z_t::<f64, 4, 2>(isa(), &z, &ytil_one, &mut |c, v| x_one[c] += v);
             assert_eq!(&xz[k * 8..(k + 1) * 8], x_one.as_slice(), "Z rhs {k}");
             assert_eq!(&xm[k * 8..(k + 1) * 8], x_one.as_slice(), "M rhs {k}");
         }

@@ -46,4 +46,4 @@ pub use exec::{CscvExec, ExecConfig, ParallelStrategy};
 pub use format::{CscvMatrix, CscvStats, Variant};
 pub use invariants::{Invariant, Violation, CATALOG};
 pub use layout::SinoLayout;
-pub use params::CscvParams;
+pub use params::{CscvParams, VXG_SIZES};

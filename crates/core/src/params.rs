@@ -8,12 +8,24 @@
 //!   but raise the zero-padding rate (trajectories decorrelate with
 //!   distance from the reference pixel);
 //! * `s_vxg` — CSCVEs per vectorized execution group; deepens the inner
-//!   loop for pipelining and shrinks index data.
+//!   loop for pipelining and shrinks index data. It is a const generic
+//!   of every block kernel, so only the compiled [`VXG_SIZES`]
+//!   `{1, 2, 4, 8, 16}` build (the Fig. 8/9 sweep grid); `try_build`
+//!   rejects any other value with a typed error.
+//!
+//! The batched executors choose their tile width `K` by one register
+//! budget: the widest compiled `K ∈ {8, 4, 2}` whose accumulator tile
+//! fits — `K·W ≤ 64` lanes forward, `S_VxG·K·W ≤ 128` lanes for the
+//! transpose, which keeps one `K×W` tile per VxG member — else single-RHS
+//! passes.
 //!
 //! A key claim of the paper is that selection is *not* matrix-specific:
 //! one combination per (variant, precision, machine class) works across
 //! the whole CT family. `CscvParams::default_z/default_m` encode the
 //! paper's Table III choices.
+
+/// The `S_VxG` values the block kernels are compiled for.
+pub const VXG_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// CSCV build parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +34,7 @@ pub struct CscvParams {
     pub s_imgb: usize,
     /// CSCVE lane count `S_VVec` (4, 8 or 16).
     pub s_vvec: usize,
-    /// CSCVEs per VxG `S_VxG` (≥ 1).
+    /// CSCVEs per VxG `S_VxG` (one of [`VXG_SIZES`] to build).
     pub s_vxg: usize,
 }
 
@@ -62,7 +74,7 @@ impl CscvParams {
         let mut out = Vec::new();
         for &s_vvec in &[4usize, 8, 16] {
             for &s_imgb in &[8usize, 16, 32, 64] {
-                for &s_vxg in &[1usize, 2, 4, 8, 16] {
+                for s_vxg in VXG_SIZES {
                     out.push(CscvParams::new(s_imgb, s_vvec, s_vxg));
                 }
             }

@@ -5,14 +5,15 @@
 //! once, so on randomized CT-like matrices every tier this machine runs
 //! must reproduce the body's output `to_bits` — for CSCV-Z and CSCV-M
 //! (soft and hardware expand), forward and transpose, single-RHS and
-//! `K ∈ {1, 2, 4, 8}`, `W ∈ {4, 8, 16}`, f32 and f64.
+//! `K ∈ {1, 2, 4, 8}`, `W ∈ {4, 8, 16}`, every compiled `S_VxG`, f32 and
+//! f64.
 #![cfg(test)]
 
 use crate::builder::build;
 use crate::format::{Block, CscvMatrix, Variant};
 use crate::kernels::*;
 use crate::layout::{ImageShape, SinoLayout};
-use crate::params::CscvParams;
+use crate::params::{CscvParams, VXG_SIZES};
 use cscv_simd::rng::XorShift64;
 use cscv_simd::{Isa, MaskExpand, Scalar};
 use cscv_sparse::{Coo, Csc};
@@ -57,23 +58,29 @@ fn random_ct<T: Scalar>(rng: &mut XorShift64) -> (Csc<T>, SinoLayout, ImageShape
 }
 
 /// The batched kernels at one `K`, dispatched vs. portable body.
-fn check_multi<T: Scalar + MaskExpand, const W: usize, const HW: bool, const K: usize>(
+fn check_multi<
+    T: Scalar + MaskExpand,
+    const W: usize,
+    const HW: bool,
+    const S: usize,
+    const K: usize,
+>(
     m: &CscvMatrix<T>,
     blk: &Block<T>,
     x: &[T],
     y: &[T],
 ) {
-    let (isa, s) = (Isa::detect(), m.params.s_vxg);
+    let isa = Isa::detect();
     let len = blk.ytil_len() * K;
     let (mut got, mut want) = (vec![T::ZERO; len], vec![T::ZERO; len]);
     match m.variant {
         Variant::Z => {
-            run_block_z_multi::<T, W, K>(isa, blk, s, x, m.n_cols, &mut got);
-            run_block_z_multi_body::<T, W, K>(blk, s, x, m.n_cols, &mut want);
+            run_block_z_multi::<T, W, S, K>(isa, blk, x, m.n_cols, &mut got);
+            run_block_z_multi_body::<T, W, S, K>(blk, x, m.n_cols, &mut want);
         }
         Variant::M => {
-            run_block_m_multi::<T, W, HW, K>(isa, blk, s, x, m.n_cols, &mut got);
-            run_block_m_multi_body::<T, W, HW, K>(blk, s, x, m.n_cols, &mut want);
+            run_block_m_multi::<T, W, HW, S, K>(isa, blk, x, m.n_cols, &mut got);
+            run_block_m_multi_body::<T, W, HW, S, K>(blk, x, m.n_cols, &mut want);
         }
     }
     assert_eq!(bits(&got), bits(&want), "forward K={K}");
@@ -92,23 +99,24 @@ fn check_multi<T: Scalar + MaskExpand, const W: usize, const HW: bool, const K: 
     let mut sink_want = |c: usize, v: &[T; K]| sums_want.push((c, bits(v)));
     match m.variant {
         Variant::Z => {
-            run_block_z_t_multi::<T, W, K>(isa, blk, s, &want, &mut sink_got);
-            run_block_z_t_multi_body::<T, W, K>(blk, s, &want, &mut sink_want);
+            run_block_z_t_multi::<T, W, S, K>(isa, blk, &want, &mut sink_got);
+            run_block_z_t_multi_body::<T, W, S, K>(blk, &want, &mut sink_want);
         }
         Variant::M => {
-            run_block_m_t_multi::<T, W, HW, K>(isa, blk, s, &want, &mut sink_got);
-            run_block_m_t_multi_body::<T, W, HW, K>(blk, s, &want, &mut sink_want);
+            run_block_m_t_multi::<T, W, HW, S, K>(isa, blk, &want, &mut sink_got);
+            run_block_m_t_multi_body::<T, W, HW, S, K>(blk, &want, &mut sink_want);
         }
     }
     assert_eq!(sums_got, sums_want, "transpose K={K}");
 }
 
 /// Single-RHS kernels plus every batch width on each block of `m`.
-fn check_blocks<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
+fn check_blocks<T: Scalar + MaskExpand, const W: usize, const HW: bool, const S: usize>(
     m: &CscvMatrix<T>,
     rng: &mut XorShift64,
 ) {
-    let (isa, s) = (Isa::detect(), m.params.s_vxg);
+    assert_eq!(m.params.s_vxg, S);
+    let isa = Isa::detect();
     let x: Vec<T> = random_vec(rng, 8 * m.n_cols);
     let y: Vec<T> = random_vec(rng, 8 * m.n_rows);
     for blk in &m.blocks {
@@ -116,12 +124,12 @@ fn check_blocks<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
         let (mut got, mut want) = (vec![T::ZERO; len], vec![T::ZERO; len]);
         match m.variant {
             Variant::Z => {
-                run_block_z::<T, W>(isa, blk, s, &x, &mut got);
-                run_block_z_body::<T, W>(blk, s, &x, &mut want);
+                run_block_z::<T, W, S>(isa, blk, &x, &mut got);
+                run_block_z_body::<T, W, S>(blk, &x, &mut want);
             }
             Variant::M => {
-                run_block_m::<T, W, HW>(isa, blk, s, &x, &mut got);
-                run_block_m_body::<T, W, HW>(blk, s, &x, &mut want);
+                run_block_m::<T, W, HW, S>(isa, blk, &x, &mut got);
+                run_block_m_body::<T, W, HW, S>(blk, &x, &mut want);
             }
         }
         assert_eq!(bits(&got), bits(&want), "forward");
@@ -140,38 +148,49 @@ fn check_blocks<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
         let mut sink_want = |c: usize, v: T| sums_want.push((c, v.to_f64().to_bits()));
         match m.variant {
             Variant::Z => {
-                run_block_z_t::<T, W>(isa, blk, s, &want, &mut sink_got);
-                run_block_z_t_body::<T, W>(blk, s, &want, &mut sink_want);
+                run_block_z_t::<T, W, S>(isa, blk, &want, &mut sink_got);
+                run_block_z_t_body::<T, W, S>(blk, &want, &mut sink_want);
             }
             Variant::M => {
-                run_block_m_t::<T, W, HW>(isa, blk, s, &want, &mut sink_got);
-                run_block_m_t_body::<T, W, HW>(blk, s, &want, &mut sink_want);
+                run_block_m_t::<T, W, HW, S>(isa, blk, &want, &mut sink_got);
+                run_block_m_t_body::<T, W, HW, S>(blk, &want, &mut sink_want);
             }
         }
         assert_eq!(sums_got, sums_want, "transpose");
 
-        check_multi::<T, W, HW, 1>(m, blk, &x, &y);
-        check_multi::<T, W, HW, 2>(m, blk, &x, &y);
-        check_multi::<T, W, HW, 4>(m, blk, &x, &y);
-        check_multi::<T, W, HW, 8>(m, blk, &x, &y);
+        check_multi::<T, W, HW, S, 1>(m, blk, &x, &y);
+        check_multi::<T, W, HW, S, 2>(m, blk, &x, &y);
+        check_multi::<T, W, HW, S, 4>(m, blk, &x, &y);
+        check_multi::<T, W, HW, S, 8>(m, blk, &x, &y);
     }
 }
 
-/// Randomized matrices at lane width `W`: CSCV-Z, CSCV-M with
-/// `soft-vexpand`, and CSCV-M with hardware `vexpand` where it exists.
-fn check_width<T: Scalar + MaskExpand, const W: usize>(seed: u64) {
-    let mut rng = XorShift64::new(seed);
-    for _ in 0..3 {
-        let (csc, layout, img) = random_ct::<T>(&mut rng);
-        let params = CscvParams::new(1 + rng.next_usize(4), W, 1 + rng.next_usize(4));
+/// Randomized matrices at lane width `W` and `S_VxG = S`: CSCV-Z,
+/// CSCV-M with `soft-vexpand`, and CSCV-M with hardware `vexpand` where
+/// it exists.
+fn check_shape<T: Scalar + MaskExpand, const W: usize, const S: usize>(rng: &mut XorShift64) {
+    for _ in 0..2 {
+        let (csc, layout, img) = random_ct::<T>(rng);
+        let params = CscvParams::new(1 + rng.next_usize(4), W, S);
         let z = build(&csc, layout, img, params, Variant::Z);
-        check_blocks::<T, W, false>(&z, &mut rng);
+        check_blocks::<T, W, false, S>(&z, rng);
         let m = build(&csc, layout, img, params, Variant::M);
-        check_blocks::<T, W, false>(&m, &mut rng);
+        check_blocks::<T, W, false, S>(&m, rng);
         if T::hw_available::<W>() {
-            check_blocks::<T, W, true>(&m, &mut rng);
+            check_blocks::<T, W, true, S>(&m, rng);
         }
     }
+}
+
+/// Every compiled `S_VxG` at lane width `W`.
+fn check_width<T: Scalar + MaskExpand, const W: usize>(seed: u64) {
+    assert_eq!(VXG_SIZES, [1, 2, 4, 8, 16], "a compiled S_VxG is unchecked");
+    let mut rng = XorShift64::new(seed);
+    check_shape::<T, W, 1>(&mut rng);
+    check_shape::<T, W, 2>(&mut rng);
+    check_shape::<T, W, 4>(&mut rng);
+    check_shape::<T, W, 8>(&mut rng);
+    check_shape::<T, W, 16>(&mut rng);
 }
 
 #[test]

@@ -113,7 +113,7 @@ fn heuristic_config(op: Op) -> TunedConfig {
 /// Build an executor from `cfg`, degrading to the heuristic — which
 /// always builds for any matrix the workspace accepts — if the tuned
 /// parameters are invalid for this matrix (e.g. a cached config from a
-/// *near* fingerprint whose `S_VxG` exceeds this layout's view count).
+/// *near* fingerprint, or one whose `S_VxG` has no compiled kernel).
 fn build_or_heuristic<T: Scalar + MaskExpand>(
     csc: &Csc<T>,
     layout: SinoLayout,
@@ -276,14 +276,17 @@ mod tests {
     #[test]
     fn invalid_cached_config_degrades_to_heuristic() {
         let (csc, layout, img) = case();
-        // A config whose S_VxG exceeds the view count cannot build for
-        // this layout; the entry point must degrade, not fail.
-        let bad = TunedConfig {
-            s_vxg: layout.n_views * 4,
-            ..TunedConfig::heuristic(Op::Spmv, 2)
-        };
-        let (exec, cfg) = build_or_heuristic(&csc, layout, img, bad, Op::Spmv);
-        assert_eq!(exec.config(), ExecConfig::heuristic(Variant::Z));
-        assert_eq!(cfg, heuristic_config(Op::Spmv));
+        // A cached config whose S_VxG has no compiled kernel — far above
+        // the view count, or an odd value such as 3 — cannot build; the
+        // entry point must degrade, not fail.
+        for s_vxg in [layout.n_views * 4, 3] {
+            let bad = TunedConfig {
+                s_vxg,
+                ..TunedConfig::heuristic(Op::Spmv, 2)
+            };
+            let (exec, cfg) = build_or_heuristic(&csc, layout, img, bad, Op::Spmv);
+            assert_eq!(exec.config(), ExecConfig::heuristic(Variant::Z));
+            assert_eq!(cfg, heuristic_config(Op::Spmv));
+        }
     }
 }

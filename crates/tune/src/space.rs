@@ -9,7 +9,7 @@
 //! * `S_ImgB` / `S_VVec` stay at the paper's per-variant recommended
 //!   values (Table III): they trade against cache geometry, which the
 //!   fingerprint cannot see, and the first-order knobs are the others;
-//! * `S_VxG` sweeps {2, 4, 8, 16} (∩ `MAX_VXG`), but unstructured
+//! * `S_VxG` sweeps {2, 4, 8, 16} (compiled kernel shapes), but unstructured
 //!   matrices (`band_frac > 0.25`) skip 16 — wide VxGs only pay off
 //!   when P1/P2 hold and padding stays low;
 //! * `LocalCopies` is only tried for single-RHS SpMV with > 1 thread:
@@ -25,7 +25,6 @@
 //! benchmark that selected it.
 
 use crate::fingerprint::Fingerprint;
-use cscv_core::kernels::MAX_VXG;
 use cscv_core::{CscvParams, ExecConfig, ParallelStrategy, Variant};
 
 /// The operation being tuned for. Winners are cached per operation:
@@ -140,7 +139,6 @@ pub fn candidates(op: Op, fp: &Fingerprint, max_threads: usize) -> Vec<TunedConf
 
     let mut vxgs: Vec<usize> = [2usize, 4, 8, 16]
         .into_iter()
-        .filter(|&v| v <= MAX_VXG)
         .filter(|&v| v <= 8 || fp.band_frac <= 0.25)
         .collect();
     for variant in [Variant::Z, Variant::M] {

@@ -29,7 +29,7 @@
 
 use cscv_core::layout::ImageShape;
 use cscv_core::{
-    try_build, CscvExec, CscvMatrix, CscvParams, ParallelStrategy, SinoLayout, Variant,
+    try_build, CscvExec, CscvMatrix, CscvParams, ParallelStrategy, SinoLayout, Variant, VXG_SIZES,
 };
 // The descriptor/generator layer moved to `cscv_harness::gen` so the
 // autotuner corpus shares it; re-exported here to keep `.case` tooling
@@ -244,7 +244,12 @@ pub fn run_case(desc: &CaseDesc) -> Result<(), String> {
     }
 
     // --- CSCV: build, validate the catalog, differential paths ---------
-    let s_vxg = desc.s_vxg.min(cscv_core::kernels::MAX_VXG);
+    // The kernels are compiled for the VXG_SIZES only: fuzz the largest
+    // one not above the descriptor's value, so every case builds.
+    let s_vxg = VXG_SIZES
+        .into_iter()
+        .rfind(|&v| v <= desc.s_vxg)
+        .unwrap_or(VXG_SIZES[0]);
     let params = CscvParams::new(desc.s_imgb, desc.s_vvec, s_vxg);
     for variant in [Variant::Z, Variant::M] {
         let m: CscvMatrix<f64> = try_build(&csc, layout, img, params, variant)

@@ -69,6 +69,24 @@ fn ci_sh_runs_the_analyze_ratchet_unconditionally() {
 }
 
 #[test]
+fn ci_sh_runs_the_benchmark_crate_tests_in_both_modes() {
+    // The benchmark is a separate Cargo workspace: only an explicit
+    // `--manifest-path` step runs its schema and output-check tests.
+    let text = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
+    let first_conditional = text.find("if [ \"$").unwrap_or(text.len());
+    let core = &text[..first_conditional];
+    let cmd = "cargo test --release --manifest-path benchmark/Cargo.toml";
+    assert!(
+        core.contains(&format!("{cmd}\n")),
+        "untraced benchmark tests"
+    );
+    assert!(
+        core.contains(&format!("{cmd} --features trace\n")),
+        "traced benchmark tests"
+    );
+}
+
+#[test]
 fn sanitizer_stage_is_deterministic_and_uses_vetted_suppressions() {
     let text = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
     let stage = text

@@ -106,7 +106,7 @@ fn cscv_matches_reference_on_trajectory_matrices() {
     for _ in 0..48 {
         let (csc, layout, img) = random_ct_like(&mut rng);
         let s_imgb = 1 + rng.next_usize(3);
-        let s_vxg = 1 + rng.next_usize(4);
+        let s_vxg = [1usize, 2, 4, 8][rng.next_usize(4)];
         let w = [4usize, 8, 16][rng.next_usize(3)];
         let threads = 1 + rng.next_usize(3);
         let params = CscvParams::new(s_imgb, w, s_vxg);
